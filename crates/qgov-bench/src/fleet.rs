@@ -1,46 +1,35 @@
-//! Fleet-scale simulation: N independent (platform, workload, agent)
-//! RTM instances stepped in lockstep through a structure-of-arrays
-//! engine.
+//! Fleet-scale simulation: N independent (platform, workload, RTM)
+//! runs stepped epoch-major.
 //!
 //! The flat harness ([`crate::harness::run_experiment`]) runs *one run
 //! at a time*: one governor, one platform, one application, epochs
 //! inner-most. A fleet inverts that loop — *one epoch across all
-//! runs* — with every instance's Q-table packed into one contiguous
-//! [`qgov_rl::QArena`] ([`qgov_rl::AgentLanes`]) and the per-instance
-//! simulation state (platform, application cursor, [`RtmLane`],
-//! report) held in parallel arrays. The per-epoch sweep then walks
-//! those arrays in instance order, reusing one shared scratch
-//! (frame-demand slot, frame-result slot, per-instance work buffers)
-//! so the steady-state epoch performs **zero heap allocations**
+//! runs* — over N ordinary [`RtmGovernor`]s, each driven one epoch at a
+//! time through the flat harness's own step
+//! (`crate::harness::FlatRun`). Every per-run scratch buffer is
+//! reused, so the steady-state epoch performs **zero heap allocations**
 //! (`tests/alloc_steady_state.rs` pins this with a counting
 //! allocator).
 //!
-//! **Bit-identity.** Instances never interact: each epoch step applies
-//! exactly the flat harness's per-epoch body to instance-local state,
-//! through the same shared seams ([`RtmLane::decide`] generic over
-//! [`EpochAgent`], the arena's `QAccess` window running the same
-//! row-max/Bellman kernels as `QTable`). Interleaving therefore
-//! preserves every instance's results bit-for-bit against N sequential
-//! [`run_experiment`](crate::harness::run_experiment) calls — pinned
-//! by `tests/fleet_determinism.rs` — and makes the results invariant
-//! under instance order, sharding, and `QGOV_WORKERS`.
+//! **Bit-identity.** Instances never interact, and each one runs the
+//! very code a sequential [`run_experiment`](crate::harness::run_experiment)
+//! call runs. Interleaving therefore preserves every instance's results
+//! bit-for-bit — pinned by `tests/fleet_determinism.rs` — and makes the
+//! results invariant under instance order, sharding, and
+//! `QGOV_WORKERS`. Instances may differ in anything: seed, workload,
+//! state count, OPP table, sensor model.
 //!
 //! For multi-million-frame horizons, build the spec with
 //! [`FleetSpec::with_windowed_frames`] so each report streams its
 //! per-frame signals into O(windows) [`qgov_metrics::WindowedStats`]
 //! folds instead of retaining one `FrameStat` per frame.
 
-use crate::harness::{
-    apply_decision, debug_assert_no_run_state_bleed, debug_probe_reset_determinism,
-    to_work_slices_into,
-};
+use crate::harness::FlatRun;
 use crate::runner::{ExperimentBatch, RunnerConfig, RunnerMode};
-use qgov_core::{EpochAgent, RtmConfig, RtmLane};
-use qgov_governors::{EpochObservation, GovernorContext};
+use qgov_core::{RtmConfig, RtmGovernor};
 use qgov_metrics::{MetricSummary, RunReport};
-use qgov_rl::{ActionSpace, AgentLanes, LaneSpec};
-use qgov_sim::{FrameResult, Platform, PlatformConfig, WorkSlice};
-use qgov_workloads::{Application, FrameDemand};
+use qgov_sim::{FaultPlan, Platform, PlatformConfig};
+use qgov_workloads::Application;
 
 /// One fleet member: its RTM configuration (seed included), its
 /// workload, and the platform it runs on.
@@ -56,11 +45,6 @@ pub struct FleetInstance {
 
 /// A fleet run's specification: the instances, the frame horizon, and
 /// the report retention mode.
-///
-/// All instances must share one OPP table (action space) and one
-/// Q-table state count — the uniform shape the shared arena requires.
-/// Everything else (seed, workload, reward, ε schedule, sensor model)
-/// may vary per instance.
 pub struct FleetSpec {
     instances: Vec<FleetInstance>,
     frames: u64,
@@ -160,168 +144,70 @@ impl FleetOutcome {
     }
 }
 
-/// One instance's mutable window into the fleet's [`AgentLanes`] — the
-/// [`EpochAgent`] adapter [`RtmLane::decide`] drives, routing the
-/// Bellman update and action selection into the shared arena.
-struct LaneAgent<'a> {
-    lanes: &'a mut AgentLanes,
-    instance: usize,
-}
-
-impl EpochAgent for LaneAgent<'_> {
-    fn begin_epoch(&mut self, state: usize, reward: f64, slack: f64) -> usize {
-        self.lanes.begin_epoch(self.instance, state, reward, slack)
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.lanes.epsilon(self.instance)
-    }
-
-    fn exploration_count(&self) -> u64 {
-        self.lanes.exploration_count(self.instance)
-    }
-}
-
-/// The structure-of-arrays fleet engine: steps all instances one epoch
-/// at a time ([`FleetEngine::step_epoch`]) until every instance
-/// finishes, then [`FleetEngine::finish`] closes the reports.
+/// The fleet engine: N ordinary runs stepped epoch-major
+/// ([`FleetEngine::step_epoch`]) until every instance finishes, then
+/// [`FleetEngine::finish`] closes the reports.
 ///
 /// [`run_fleet`] wraps the whole lifecycle; the engine is public so
 /// benches and the allocation test can drive the steady-state loop
 /// directly.
 pub struct FleetEngine {
-    lanes: AgentLanes,
-    rtm: Vec<RtmLane>,
-    platforms: Vec<Platform>,
+    governors: Vec<RtmGovernor>,
     apps: Vec<Box<dyn Application + Send>>,
-    reports: Vec<RunReport>,
-    /// Per-instance work-slice scratch (sized to each instance's core
-    /// count once, refilled in place every epoch).
-    work: Vec<Vec<WorkSlice>>,
-    /// Per-instance frame horizon (`frames.min(app.frames())`).
-    totals: Vec<u64>,
-    pristine: Vec<Option<FrameDemand>>,
+    runs: Vec<FlatRun>,
     epoch: u64,
     max_total: u64,
-    /// Shared per-epoch scratch, refilled in place per instance.
-    demand: FrameDemand,
-    frame: FrameResult,
 }
 
 impl FleetEngine {
-    /// Builds the engine: per instance, the exact setup sequence of the
-    /// flat harness (platform, application reset + debug probe, lane,
-    /// conservative first decision, report) — with the Q-learning agent
-    /// construction pooled into one [`AgentLanes`] arena.
+    /// Builds the engine: per instance, one [`RtmGovernor`] and the flat
+    /// harness's setup (platform, application reset + debug probe,
+    /// first decision, report).
     ///
     /// # Panics
     ///
-    /// Panics if the spec is empty, a platform configuration is
-    /// invalid, or the instances disagree on OPP table or state count
-    /// (the uniform shape the shared arena requires).
+    /// Panics if the spec is empty, or an RTM or platform configuration
+    /// is invalid.
     #[must_use]
     pub fn new(spec: FleetSpec) -> Self {
         assert!(!spec.is_empty(), "a fleet needs at least one instance");
-        let frames = spec.frames;
         let n = spec.instances.len();
-        let mut platforms = Vec::with_capacity(n);
+        let mut governors = Vec::with_capacity(n);
         let mut apps = Vec::with_capacity(n);
-        let mut rtm = Vec::with_capacity(n);
-        let mut reports = Vec::with_capacity(n);
-        let mut work = Vec::with_capacity(n);
-        let mut totals = Vec::with_capacity(n);
-        let mut pristine = Vec::with_capacity(n);
-        let mut lane_specs = Vec::with_capacity(n);
-        let mut shared_actions: Option<ActionSpace> = None;
-        let mut states = 0usize;
-
+        let mut runs = Vec::with_capacity(n);
         for instance in spec.instances {
             let FleetInstance {
                 config,
                 mut app,
                 platform,
             } = instance;
-            let mut platform = Platform::new(platform).expect("valid platform config");
-            let period = app.period();
-            let cores = platform.cores();
-            let ctx = GovernorContext::new(platform.opp_table().clone(), cores, period);
-
-            app.reset();
-            pristine.push(debug_probe_reset_determinism(app.as_mut()));
-
-            // RtmGovernor::init, instance-sliced: the lane holds all
-            // non-learning state; the agent blueprint (identical inputs
-            // to QLearningAgent::with_policy) goes to the shared arena.
-            let lane = RtmLane::new(&config, &ctx);
-            let actions = ActionSpace::from_freqs_ghz(&ctx.opp_table().freqs_ghz());
-            match &shared_actions {
-                None => {
-                    shared_actions = Some(actions);
-                    states = config.state_count();
-                }
-                Some(shared) => {
-                    assert_eq!(
-                        shared.freqs_ghz(),
-                        actions.freqs_ghz(),
-                        "all fleet instances must share one OPP table (action space)"
-                    );
-                    assert_eq!(
-                        states,
-                        config.state_count(),
-                        "all fleet instances must share one Q-table state count"
-                    );
-                }
-            }
-            lane_specs.push(LaneSpec {
-                config: config.agent_config(),
-                policy: config.exploration_policy(),
-                seed: config.seed,
-            });
-
-            apply_decision(&mut platform, &lane.first_decision())
-                .expect("initial decision in range");
-
-            let total = frames.min(app.frames());
-            let mut report = RunReport::new("rtm", app.name(), period);
-            if let Some(w) = spec.window_len {
-                report = report.with_windowed_frames(w);
-            }
-            report.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
-
-            totals.push(total);
-            work.push(vec![WorkSlice::IDLE; cores]);
-            reports.push(report);
-            rtm.push(lane);
-            platforms.push(platform);
+            let mut governor = RtmGovernor::new(config).expect("valid RtmConfig");
+            runs.push(FlatRun::new(
+                &mut governor,
+                app.as_mut(),
+                platform,
+                spec.frames,
+                &FaultPlan::none(),
+                0,
+                spec.window_len,
+            ));
+            governors.push(governor);
             apps.push(app);
         }
-
-        let max_total = totals.iter().copied().max().unwrap_or(0);
-        let lanes = AgentLanes::new(
-            states,
-            &shared_actions.expect("non-empty fleet"),
-            lane_specs,
-        );
+        let max_total = runs.iter().map(FlatRun::total).max().unwrap_or(0);
         FleetEngine {
-            lanes,
-            rtm,
-            platforms,
+            governors,
             apps,
-            reports,
-            work,
-            totals,
-            pristine,
+            runs,
             epoch: 0,
             max_total,
-            demand: FrameDemand::default(),
-            frame: FrameResult::empty(),
         }
     }
 
     /// Number of instances.
     #[must_use]
     pub fn instances(&self) -> usize {
-        self.apps.len()
+        self.runs.len()
     }
 
     /// Epochs stepped so far.
@@ -334,55 +220,23 @@ impl FleetEngine {
     /// per-instance horizons).
     #[must_use]
     pub fn total_frames(&self) -> u64 {
-        self.totals.iter().sum()
+        self.runs.iter().map(FlatRun::total).sum()
     }
 
-    /// The shared Q-value arena (read access across the fleet).
-    #[must_use]
-    pub fn arena(&self) -> &qgov_rl::QArena {
-        self.lanes.arena()
-    }
-
-    /// Advances every still-running instance by one decision epoch —
-    /// the flat harness's per-epoch body applied instance by instance,
+    /// Advances every still-running instance by one decision epoch,
     /// allocation-free in the steady state. Returns `true` while at
     /// least one instance has epochs left.
     pub fn step_epoch(&mut self) -> bool {
         if self.epoch >= self.max_total {
             return false;
         }
-        let epoch = self.epoch;
-        for i in 0..self.apps.len() {
-            if epoch >= self.totals[i] {
-                continue;
-            }
-            self.apps[i].next_frame_into(&mut self.demand);
-            to_work_slices_into(&self.demand, &mut self.work[i]);
-            let period = self.rtm[i].period();
-            self.platforms[i]
-                .run_frame_into(&self.work[i], period, &mut self.frame)
-                .expect("work vector sized to cores");
-            self.reports[i].record_frame(
-                self.frame.frame_time,
-                self.frame.wall_time,
-                self.frame.energy,
-                self.frame.cluster_opp,
-                self.frame.met_deadline(),
-            );
-            let mut agent = LaneAgent {
-                lanes: &mut self.lanes,
-                instance: i,
-            };
-            let decision = self.rtm[i].decide(
-                &mut agent,
-                &EpochObservation {
-                    frame: &self.frame,
-                    epoch,
-                },
-            );
-            apply_decision(&mut self.platforms[i], &decision).expect("decision in range");
-            let overhead = self.rtm[i].processing_overhead();
-            self.platforms[i].add_overhead(overhead);
+        for ((run, governor), app) in self
+            .runs
+            .iter_mut()
+            .zip(&mut self.governors)
+            .zip(&mut self.apps)
+        {
+            run.step(governor, app.as_mut(), None);
         }
         self.epoch += 1;
         self.epoch < self.max_total
@@ -391,24 +245,18 @@ impl FleetEngine {
     /// Closes every report (run totals, debug state-bleed guard) and
     /// returns the outcome.
     #[must_use]
-    pub fn finish(mut self) -> FleetOutcome {
+    pub fn finish(self) -> FleetOutcome {
         let total_frames = self.total_frames();
-        for i in 0..self.apps.len() {
-            self.reports[i].set_run_totals(
-                self.platforms[i].total_energy(),
-                self.platforms[i].vf().transitions(),
-                self.platforms[i].vf().total_latency(),
-                self.platforms[i].peak_temperature(),
-            );
-            debug_assert_no_run_state_bleed(
-                self.apps[i].as_mut(),
-                self.pristine[i].as_ref(),
-                self.totals[i],
-            );
+        let mut reports = Vec::with_capacity(self.runs.len());
+        let mut platforms = Vec::with_capacity(self.runs.len());
+        for (run, mut app) in self.runs.into_iter().zip(self.apps) {
+            let outcome = run.finish(app.as_mut());
+            reports.push(outcome.report);
+            platforms.push(outcome.platform);
         }
         FleetOutcome {
-            reports: self.reports,
-            platforms: self.platforms,
+            reports,
+            platforms,
             total_frames,
         }
     }
@@ -416,7 +264,7 @@ impl FleetEngine {
 
 /// Runs a whole fleet to completion under the given execution policy.
 ///
-/// Serial: one engine (one arena) steps every instance. Parallel: the
+/// Serial: one engine steps every instance. Parallel: the
 /// instances are split into contiguous shards, one engine per shard,
 /// executed through [`ExperimentBatch`]'s scoped-thread queue; results
 /// are re-concatenated in instance order. Because instances never
@@ -512,7 +360,6 @@ pub fn fleet_size_from_env(default: usize) -> usize {
 mod tests {
     use super::*;
     use crate::harness::run_experiment;
-    use qgov_core::RtmGovernor;
     use qgov_sim::SensorConfig;
     use qgov_units::{Cycles, SimTime};
     use qgov_workloads::SyntheticWorkload;
@@ -645,13 +492,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "state count")]
-    fn mismatched_state_shapes_panic() {
-        let mut spec = FleetSpec::new(10);
-        spec.push(rtm_config(1), Box::new(noisy_app(10, 1)), quiet_config());
-        let mut other = rtm_config(2);
-        other.workload_levels += 1;
-        spec.push(other, Box::new(noisy_app(10, 2)), quiet_config());
-        let _ = FleetEngine::new(spec);
+    fn mixed_shapes_each_match_their_own_flat_run() {
+        let frames = 150;
+        let mut wider = rtm_config(2);
+        wider.workload_levels += 1;
+        let little = PlatformConfig {
+            sensor: SensorConfig::ideal(),
+            ..PlatformConfig::odroid_xu3_little()
+        };
+        let members = [
+            (rtm_config(1), quiet_config()),
+            (wider, quiet_config()),
+            (rtm_config(3), little),
+        ];
+        let mut spec = FleetSpec::new(frames);
+        for (i, (config, platform)) in members.iter().enumerate() {
+            spec.push(
+                config.clone(),
+                Box::new(noisy_app(frames, i as u64)),
+                platform.clone(),
+            );
+        }
+        let fleet = run_fleet(spec, &RunnerConfig::serial());
+
+        for (i, (config, platform)) in members.into_iter().enumerate() {
+            let mut rtm = RtmGovernor::new(config).unwrap();
+            let flat = run_experiment(&mut rtm, &mut noisy_app(frames, i as u64), platform, frames);
+            assert_eq!(fleet.reports[i], flat.report, "instance {i} diverged");
+            assert_eq!(
+                fleet.platforms[i].total_energy().as_joules().to_bits(),
+                flat.platform.total_energy().as_joules().to_bits(),
+                "instance {i} platform energy diverged"
+            );
+        }
+        // The three members really differ in shape.
+        assert_ne!(
+            fleet.platforms[0].opp_table().len(),
+            fleet.platforms[2].opp_table().len()
+        );
     }
 }

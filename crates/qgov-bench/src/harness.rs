@@ -33,6 +33,7 @@ use qgov_sim::{
     Actuation, FaultInjector, FaultPlan, FrameResult, Platform, PlatformConfig, SimError, VfDomain,
     WorkSlice,
 };
+use qgov_units::{Cycles, SimTime};
 use qgov_workloads::{Application, FrameDemand, WorkloadTrace};
 
 /// Everything a finished run yields: the metrics report plus the
@@ -123,7 +124,15 @@ pub fn run_experiment(
     platform_config: PlatformConfig,
     frames: u64,
 ) -> ExperimentOutcome {
-    run_experiment_inner(governor, app, platform_config, frames, None)
+    run_flat(
+        governor,
+        app,
+        platform_config,
+        frames,
+        &FaultPlan::none(),
+        0,
+        None,
+    )
 }
 
 /// [`run_experiment`] with a streaming temporal-property monitor riding
@@ -146,9 +155,15 @@ pub fn run_experiment_monitored(
     frames: u64,
     monitors: &mut PropertySet<MonitorSample>,
 ) -> ExperimentOutcome {
-    let mut outcome = run_experiment_inner(governor, app, platform_config, frames, Some(monitors));
-    outcome.report.set_monitor_report(monitors.report());
-    outcome
+    run_flat(
+        governor,
+        app,
+        platform_config,
+        frames,
+        &FaultPlan::none(),
+        0,
+        Some(monitors),
+    )
 }
 
 /// Rewrites a governor decision through the injector's actuation fault
@@ -241,7 +256,7 @@ pub fn run_experiment_faulted(
     plan: &FaultPlan,
     fault_seed: u64,
 ) -> ExperimentOutcome {
-    run_experiment_faulted_inner(
+    run_flat(
         governor,
         app,
         platform_config,
@@ -265,7 +280,7 @@ pub fn run_experiment_faulted_monitored(
     fault_seed: u64,
     monitors: &mut PropertySet<MonitorSample>,
 ) -> ExperimentOutcome {
-    let mut outcome = run_experiment_faulted_inner(
+    run_flat(
         governor,
         app,
         platform_config,
@@ -273,13 +288,12 @@ pub fn run_experiment_faulted_monitored(
         plan,
         fault_seed,
         Some(monitors),
-    );
-    outcome.report.set_monitor_report(monitors.report());
-    outcome
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_experiment_faulted_inner(
+/// Every flat entry point: setup, `while step`, finish — plus the
+/// monitor verdicts folded into the report when monitors rode along.
+fn run_flat(
     governor: &mut dyn Governor,
     app: &mut dyn Application,
     platform_config: PlatformConfig,
@@ -288,58 +302,184 @@ fn run_experiment_faulted_inner(
     fault_seed: u64,
     mut monitors: Option<&mut PropertySet<MonitorSample>>,
 ) -> ExperimentOutcome {
-    let mut platform = Platform::new(platform_config).expect("valid platform config");
-    let period = app.period();
-    let cores = platform.cores();
-    let ctx = GovernorContext::new(platform.opp_table().clone(), cores, period);
-    let mut injector = FaultInjector::single(plan, fault_seed, cores);
+    let mut run = FlatRun::new(
+        governor,
+        app,
+        platform_config,
+        frames,
+        plan,
+        fault_seed,
+        None,
+    );
+    while run.step(governor, app, monitors.as_deref_mut()) {}
+    let mut outcome = run.finish(app);
+    if let Some(monitors) = monitors {
+        outcome.report.set_monitor_report(monitors.report());
+    }
+    outcome
+}
 
-    app.reset();
-    let pristine_first = debug_probe_reset_determinism(app);
-    let first = governor.init(&ctx);
-    apply_decision(&mut platform, &first).expect("initial decision in range");
+/// One flat run in progress — the single simulate → sense → decide →
+/// learn body behind every `run_experiment*` entry point and
+/// [`crate::fleet::FleetEngine`]: [`FlatRun::new`] sets the run up,
+/// each [`FlatRun::step`] executes one decision epoch, and
+/// [`FlatRun::finish`] closes the report. The governor and application
+/// stay with the caller and are lent to every call, so a fleet can hold
+/// N runs and step them epoch-major.
+///
+/// Per epoch the step:
+/// 1. builds the frame's work slices; under a non-empty fault plan it
+///    then moves any dead core's work onto the survivors
+///    ([`FaultInjector::redistribute_dead`] — the scheduler sees the
+///    drop-out, so its cycles land elsewhere);
+/// 2. executes the frame and records **truth** in the report;
+/// 3. lets the governor observe the frame and decide the next operating
+///    point. Under an empty plan it reads the true frame result; under
+///    a non-empty one it reads a copy perturbed by
+///    [`FaultInjector::perturb_sensing`];
+/// 4. feeds any monitors the true frame, sampled after the decision so
+///    ε/convergence reflect this epoch's selection;
+/// 5. rewrites the decision through the actuation fault
+///    (`faulted_decision`, non-empty plan only), applies it, and
+///    charges the governor's processing overhead and the V-F
+///    transition latency to the next frame (the paper's `T_OVH`).
+///
+/// The steady state is allocation-free: one demand slot, one work-slice
+/// buffer and two frame-result slots are reused across every epoch
+/// (`next_frame_into` / `run_frame_into` refill them in place), and the
+/// report pre-reserves its frame stats at setup.
+/// `tests/alloc_steady_state.rs` pins this with a counting global
+/// allocator.
+pub(crate) struct FlatRun {
+    platform: Platform,
+    period: SimTime,
+    injector: FaultInjector,
+    report: RunReport,
+    epoch: u64,
+    /// The frame horizon (`frames.min(app.frames())`).
+    total: u64,
+    pristine_first: Option<FrameDemand>,
+    demand: FrameDemand,
+    work: Vec<WorkSlice>,
+    frame: FrameResult,
+    /// The governor's faulted view of `frame` (non-empty plans only).
+    sensed: FrameResult,
+}
 
-    let total = frames.min(app.frames());
-    let mut report = RunReport::new(governor.name(), app.name(), period);
-    report.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
+impl FlatRun {
+    /// Builds the platform and injector, resets `app` (plus the debug
+    /// reset probe), applies the governor's first decision, and opens a
+    /// report — windowed when `window_len` is set
+    /// ([`RunReport::with_windowed_frames`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the platform configuration is invalid, `plan` names a
+    /// cluster other than 0 or a core outside the platform, or the first
+    /// decision is out of range.
+    pub(crate) fn new(
+        governor: &mut dyn Governor,
+        app: &mut dyn Application,
+        platform_config: PlatformConfig,
+        frames: u64,
+        plan: &FaultPlan,
+        fault_seed: u64,
+        window_len: Option<u64>,
+    ) -> Self {
+        let mut platform = Platform::new(platform_config).expect("valid platform config");
+        let period = app.period();
+        let cores = platform.cores();
+        let ctx = GovernorContext::new(platform.opp_table().clone(), cores, period);
+        let injector = FaultInjector::single(plan, fault_seed, cores);
 
-    // Same allocation-free steady state as `run_experiment_inner`, plus
-    // one extra reused slot: the sensed copy the injector perturbs.
-    let mut demand = FrameDemand::default();
-    let mut work = vec![WorkSlice::IDLE; cores];
-    let mut frame = FrameResult::empty();
-    let mut sensed = FrameResult::empty();
-    for epoch in 0..total {
-        injector.begin_epoch(epoch);
-        app.next_frame_into(&mut demand);
-        to_work_slices_into(&demand, &mut work);
+        app.reset();
+        let pristine_first = debug_probe_reset_determinism(app);
+        let first = governor.init(&ctx);
+        apply_decision(&mut platform, &first).expect("initial decision in range");
+
+        let total = frames.min(app.frames());
+        let mut report = RunReport::new(governor.name(), app.name(), period);
+        if let Some(w) = window_len {
+            report = report.with_windowed_frames(w);
+        }
+        report.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
+
+        FlatRun {
+            platform,
+            period,
+            injector,
+            report,
+            epoch: 0,
+            total,
+            pristine_first,
+            demand: FrameDemand::default(),
+            work: vec![WorkSlice::IDLE; cores],
+            frame: FrameResult::empty(),
+            sensed: FrameResult::empty(),
+        }
+    }
+
+    /// The run's frame horizon.
+    pub(crate) fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Executes one decision epoch (see the type docs). Returns `false`,
+    /// doing nothing, once the horizon is reached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a decision is out of range.
+    pub(crate) fn step(
+        &mut self,
+        governor: &mut dyn Governor,
+        app: &mut dyn Application,
+        monitors: Option<&mut PropertySet<MonitorSample>>,
+    ) -> bool {
+        if self.epoch >= self.total {
+            return false;
+        }
+        let epoch = self.epoch;
+        let faulted = !self.injector.is_empty();
+        if faulted {
+            self.injector.begin_epoch(epoch);
+        }
+        app.next_frame_into(&mut self.demand);
+        to_work_slices_into(&self.demand, &mut self.work);
         // Work whose every candidate core is dead never executes: such
         // a frame is incomplete, i.e. a missed deadline, however fast
         // the surviving (idle) cores cross the barrier.
-        let lost = injector.redistribute_dead(0, &mut work);
-        platform
-            .run_frame_into(&work, period, &mut frame)
+        let lost = if faulted {
+            self.injector.redistribute_dead(0, &mut self.work)
+        } else {
+            Cycles::ZERO
+        };
+        self.platform
+            .run_frame_into(&self.work, self.period, &mut self.frame)
             .expect("work vector sized to cores");
+        let frame = &self.frame;
         let met = frame.met_deadline() && lost.is_zero();
-        report.record_frame(
+        self.report.record_frame(
             frame.frame_time,
             frame.wall_time,
             frame.energy,
             frame.cluster_opp,
             met,
         );
-        sensed.copy_from(&frame);
-        injector.perturb_sensing(epoch, 0, &mut sensed);
-        let decision = governor.decide(&EpochObservation {
-            frame: &sensed,
-            epoch,
-        });
-        if let Some(monitors) = monitors.as_deref_mut() {
+        let seen = if faulted {
+            self.sensed.copy_from(frame);
+            self.injector.perturb_sensing(epoch, 0, &mut self.sensed);
+            &self.sensed
+        } else {
+            frame
+        };
+        let mut decision = governor.decide(&EpochObservation { frame: seen, epoch });
+        if let Some(monitors) = monitors {
             // Truth, not the sensed copy: properties such as the
             // thermal cap must hold on the die, not on a lying sensor.
             monitors.observe(&MonitorSample {
                 epoch,
-                frame_time_ratio: frame.frame_time.ratio(period),
+                frame_time_ratio: frame.frame_time.ratio(self.period),
                 met_deadline: met,
                 opp: frame.cluster_opp,
                 temperature_c: frame.temperature.as_celsius(),
@@ -348,92 +488,31 @@ fn run_experiment_faulted_inner(
                 converged: governor.has_converged().unwrap_or(false),
             });
         }
-        let actual = faulted_decision(&mut injector, epoch, 0, platform.current_opp(), decision);
-        apply_decision(&mut platform, &actual).expect("decision in range");
-        platform.add_overhead(governor.processing_overhead());
-    }
-    report.set_run_totals(
-        platform.total_energy(),
-        platform.vf().transitions(),
-        platform.vf().total_latency(),
-        platform.peak_temperature(),
-    );
-    debug_assert_no_run_state_bleed(app, pristine_first.as_ref(), total);
-    ExperimentOutcome { report, platform }
-}
-
-fn run_experiment_inner(
-    governor: &mut dyn Governor,
-    app: &mut dyn Application,
-    platform_config: PlatformConfig,
-    frames: u64,
-    mut monitors: Option<&mut PropertySet<MonitorSample>>,
-) -> ExperimentOutcome {
-    let mut platform = Platform::new(platform_config).expect("valid platform config");
-    let period = app.period();
-    let cores = platform.cores();
-    let ctx = GovernorContext::new(platform.opp_table().clone(), cores, period);
-
-    app.reset();
-    let pristine_first = debug_probe_reset_determinism(app);
-    let first = governor.init(&ctx);
-    apply_decision(&mut platform, &first).expect("initial decision in range");
-
-    let total = frames.min(app.frames());
-    let mut report = RunReport::new(governor.name(), app.name(), period);
-    report.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
-
-    // The steady-state loop runs allocation-free: one demand slot, one
-    // work-slice scratch buffer and one frame-result slot are reused
-    // across every epoch (`next_frame_into` / `run_frame_into` refill
-    // them in place), and the report pre-reserved its frame stats
-    // above. `tests/alloc_steady_state.rs` pins this with a counting
-    // global allocator.
-    let mut demand = FrameDemand::default();
-    let mut work = vec![WorkSlice::IDLE; cores];
-    let mut frame = FrameResult::empty();
-    for epoch in 0..total {
-        app.next_frame_into(&mut demand);
-        to_work_slices_into(&demand, &mut work);
-        platform
-            .run_frame_into(&work, period, &mut frame)
-            .expect("work vector sized to cores");
-        report.record_frame(
-            frame.frame_time,
-            frame.wall_time,
-            frame.energy,
-            frame.cluster_opp,
-            frame.met_deadline(),
-        );
-        let decision = governor.decide(&EpochObservation {
-            frame: &frame,
-            epoch,
-        });
-        if let Some(monitors) = monitors.as_deref_mut() {
-            // Sampled after decide() so ε/convergence reflect this
-            // epoch's selection, matching the RTM's own EpochRecord.
-            monitors.observe(&MonitorSample {
-                epoch,
-                frame_time_ratio: frame.frame_time.ratio(period),
-                met_deadline: frame.met_deadline(),
-                opp: frame.cluster_opp,
-                temperature_c: frame.temperature.as_celsius(),
-                energy_j: frame.energy.as_joules(),
-                epsilon: governor.exploration_epsilon().unwrap_or(f64::NAN),
-                converged: governor.has_converged().unwrap_or(false),
-            });
+        if faulted {
+            let current = self.platform.current_opp();
+            decision = faulted_decision(&mut self.injector, epoch, 0, current, decision);
         }
-        apply_decision(&mut platform, &decision).expect("decision in range");
-        platform.add_overhead(governor.processing_overhead());
+        apply_decision(&mut self.platform, &decision).expect("decision in range");
+        self.platform.add_overhead(governor.processing_overhead());
+        self.epoch += 1;
+        true
     }
-    report.set_run_totals(
-        platform.total_energy(),
-        platform.vf().transitions(),
-        platform.vf().total_latency(),
-        platform.peak_temperature(),
-    );
-    debug_assert_no_run_state_bleed(app, pristine_first.as_ref(), total);
-    ExperimentOutcome { report, platform }
+
+    /// Closes the report with the platform's run totals, runs the debug
+    /// state-bleed guard on `app`, and returns the outcome.
+    pub(crate) fn finish(mut self, app: &mut dyn Application) -> ExperimentOutcome {
+        self.report.set_run_totals(
+            self.platform.total_energy(),
+            self.platform.vf().transitions(),
+            self.platform.vf().total_latency(),
+            self.platform.peak_temperature(),
+        );
+        debug_assert_no_run_state_bleed(app, self.pristine_first.as_ref(), self.total);
+        ExperimentOutcome {
+            report: self.report,
+            platform: self.platform,
+        }
+    }
 }
 
 /// Debug-build guard for the serial/parallel seam: every batch cell

@@ -48,7 +48,7 @@ use qgov_metrics::{MonitorSample, PropertySet, RunReport};
 use qgov_sim::{
     FaultInjector, FaultPlan, ManyCoreFrameResult, ManyCorePlatform, Topology, WorkSlice,
 };
-use qgov_units::Cycles;
+use qgov_units::{Cycles, Energy, SimTime};
 use qgov_workloads::{split_demand_into, Application, FrameDemand};
 
 /// Everything a finished many-core run yields: the chip-level report,
@@ -103,7 +103,16 @@ pub fn run_manycore_experiment(
     frames: u64,
     initial_shares: &[f64],
 ) -> ManyCoreOutcome {
-    run_manycore_experiment_inner(coordinator, app, topology, frames, initial_shares, None)
+    run_manycore(
+        coordinator,
+        app,
+        topology,
+        frames,
+        initial_shares,
+        &FaultPlan::none(),
+        0,
+        None,
+    )
 }
 
 /// [`run_manycore_experiment`] with a streaming temporal-property
@@ -125,16 +134,16 @@ pub fn run_manycore_experiment_monitored(
     initial_shares: &[f64],
     monitors: &mut PropertySet<MonitorSample>,
 ) -> ManyCoreOutcome {
-    let mut outcome = run_manycore_experiment_inner(
+    run_manycore(
         coordinator,
         app,
         topology,
         frames,
         initial_shares,
+        &FaultPlan::none(),
+        0,
         Some(monitors),
-    );
-    outcome.report.set_monitor_report(monitors.report());
-    outcome
+    )
 }
 
 /// [`run_manycore_experiment`] under a deterministic fault schedule —
@@ -176,7 +185,7 @@ pub fn run_manycore_experiment_faulted(
     plan: &FaultPlan,
     fault_seed: u64,
 ) -> ManyCoreOutcome {
-    run_manycore_experiment_faulted_inner(
+    run_manycore(
         coordinator,
         app,
         topology,
@@ -204,7 +213,7 @@ pub fn run_manycore_experiment_faulted_monitored(
     fault_seed: u64,
     monitors: &mut PropertySet<MonitorSample>,
 ) -> ManyCoreOutcome {
-    let mut outcome = run_manycore_experiment_faulted_inner(
+    run_manycore(
         coordinator,
         app,
         topology,
@@ -213,13 +222,17 @@ pub fn run_manycore_experiment_faulted_monitored(
         plan,
         fault_seed,
         Some(monitors),
-    );
-    outcome.report.set_monitor_report(monitors.report());
-    outcome
+    )
 }
 
+/// The one many-core epoch loop behind every `run_manycore_experiment*`
+/// entry point (see [`run_manycore_experiment_faulted`] for the
+/// per-epoch steps). Under an empty `plan` the fault steps are skipped
+/// outright: the coordinator reads the true frame results and its
+/// decisions apply unchanged. Monitor verdicts are folded into the chip
+/// report when monitors rode along.
 #[allow(clippy::too_many_arguments)]
-fn run_manycore_experiment_faulted_inner(
+fn run_manycore(
     coordinator: &mut dyn ManyCoreGovernor,
     app: &mut dyn Application,
     topology: Topology,
@@ -239,6 +252,7 @@ fn run_manycore_experiment_faulted_inner(
         .map(|c| GovernorContext::new(chip.opp_table(c).clone(), cores[c], period))
         .collect();
     let mut injector = FaultInjector::new(plan, fault_seed, &cores);
+    let faulted = !injector.is_empty();
     let mut notified = vec![false; n];
 
     app.reset();
@@ -261,45 +275,55 @@ fn run_manycore_experiment_faulted_inner(
         })
         .collect();
 
-    // Same allocation-free steady state as the fault-free inner loop,
-    // plus one extra reused slot: the sensed copy the injector
-    // perturbs before the coordinator sees it.
     let mut shares = initial_shares.to_vec();
     let mut demand = FrameDemand::default();
     let mut cluster_demands = vec![FrameDemand::default(); n];
     let mut work: Vec<Vec<WorkSlice>> = cores.iter().map(|&k| vec![WorkSlice::IDLE; k]).collect();
     let mut frame = ManyCoreFrameResult::empty();
     let mut sensed = ManyCoreFrameResult::empty();
+    // Cycles dropped per cluster this epoch; stays zero under an empty
+    // plan.
     let mut lost = vec![Cycles::ZERO; n];
 
     for epoch in 0..total {
-        injector.begin_epoch(epoch);
-        for (c, seen) in notified.iter_mut().enumerate() {
-            if !*seen && injector.cluster_dead(c) {
-                *seen = true;
-                coordinator.notify_cluster_dead(c);
+        if faulted {
+            injector.begin_epoch(epoch);
+            for (c, seen) in notified.iter_mut().enumerate() {
+                if !*seen && injector.cluster_dead(c) {
+                    *seen = true;
+                    coordinator.notify_cluster_dead(c);
+                }
             }
         }
         app.next_frame_into(&mut demand);
         split_demand_into(&demand, &shares, &cores, &mut cluster_demands);
         for (c, (slices, slice_demand)) in work.iter_mut().zip(&cluster_demands).enumerate() {
             to_work_slices_into(slice_demand, slices);
-            // Work routed to a fully dead cluster never executes: that
-            // frame is incomplete, i.e. a missed deadline, however fast
-            // the (idle) dead cluster crosses the barrier. Only the
-            // coordinator can stop the bleeding, by draining the dead
-            // cluster's share.
-            lost[c] = injector.redistribute_dead(c, slices);
+            if faulted {
+                // Work routed to a fully dead cluster never executes:
+                // that frame is incomplete, i.e. a missed deadline,
+                // however fast the (idle) dead cluster crosses the
+                // barrier. Only the coordinator can stop the bleeding,
+                // by draining the dead cluster's share.
+                lost[c] = injector.redistribute_dead(c, slices);
+            }
         }
         chip.run_frame_into(&work, period, &mut frame)
             .expect("work buffers sized to the topology");
-        let chip_met = frame.met_deadline() && lost.iter().all(|l| l.is_zero());
+        debug_assert_chip_accounting(&frame);
+        let work_lost = lost.iter().any(|l| !l.is_zero());
+        let chip_met = frame.met_deadline() && !work_lost;
+        let misses_before = report.deadline_misses();
         report.record_frame(
             frame.frame_time,
             frame.wall_time,
             frame.energy,
             frame.clusters[0].cluster_opp,
             chip_met,
+        );
+        debug_assert!(
+            !work_lost || report.deadline_misses() == misses_before + 1,
+            "epoch {epoch}: a frame with lost work must be recorded as missed"
         );
         for (c, cluster_report) in cluster_reports.iter_mut().enumerate() {
             let f = &frame.clusters[c];
@@ -311,13 +335,18 @@ fn run_manycore_experiment_faulted_inner(
                 f.met_deadline() && lost[c].is_zero(),
             );
         }
-        sensed.copy_from(&frame);
-        for (c, cluster_frame) in sensed.clusters.iter_mut().enumerate() {
-            injector.perturb_sensing(epoch, c, cluster_frame);
-        }
+        let seen = if faulted {
+            sensed.copy_from(&frame);
+            for (c, cluster_frame) in sensed.clusters.iter_mut().enumerate() {
+                injector.perturb_sensing(epoch, c, cluster_frame);
+            }
+            &sensed
+        } else {
+            &frame
+        };
         coordinator.decide_into(
             &ManyCoreObservation {
-                frames: &sensed.clusters,
+                frames: &seen.clusters,
                 epoch,
             },
             &mut decisions,
@@ -327,6 +356,8 @@ fn run_manycore_experiment_faulted_inner(
         if let Some(monitors) = monitors.as_deref_mut() {
             // Truth, not the sensed copy: the thermal cap must hold on
             // the die even while a sensor lies to the coordinator.
+            // Sampled after decide_into() so ε/convergence reflect this
+            // epoch's selections.
             let peak = frame
                 .clusters
                 .iter()
@@ -344,136 +375,11 @@ fn run_manycore_experiment_faulted_inner(
             });
         }
         for (c, decision) in decisions.iter_mut().enumerate() {
-            let requested = std::mem::replace(decision, VfDecision::NoChange);
-            let actual = faulted_decision(&mut injector, epoch, c, chip.current_opp(c), requested);
-            apply_decision(chip.cluster_mut(c), &actual).expect("decision in range");
-            chip.add_overhead(c, coordinator.processing_overhead(c));
-            *decision = actual;
-        }
-    }
-
-    report.set_run_totals(
-        chip.total_energy(),
-        chip.total_transitions(),
-        chip.total_transition_latency(),
-        chip.peak_temperature(),
-    );
-    for (c, cluster_report) in cluster_reports.iter_mut().enumerate() {
-        let cluster = chip.cluster(c);
-        cluster_report.set_run_totals(
-            cluster.total_energy(),
-            cluster.vf().transitions(),
-            cluster.vf().total_latency(),
-            cluster.peak_temperature(),
-        );
-    }
-    debug_assert_no_run_state_bleed(app, pristine_first.as_ref(), total);
-    ManyCoreOutcome {
-        report,
-        cluster_reports,
-        platform: chip,
-        shares,
-    }
-}
-
-fn run_manycore_experiment_inner(
-    coordinator: &mut dyn ManyCoreGovernor,
-    app: &mut dyn Application,
-    topology: Topology,
-    frames: u64,
-    initial_shares: &[f64],
-    mut monitors: Option<&mut PropertySet<MonitorSample>>,
-) -> ManyCoreOutcome {
-    let mut chip = ManyCorePlatform::new(topology).expect("valid topology");
-    let n = chip.cluster_count();
-    assert_eq!(initial_shares.len(), n, "one initial share per cluster");
-    let period = app.period();
-
-    let cores: Vec<usize> = (0..n).map(|c| chip.cores(c)).collect();
-    let ctxs: Vec<GovernorContext> = (0..n)
-        .map(|c| GovernorContext::new(chip.opp_table(c).clone(), cores[c], period))
-        .collect();
-
-    app.reset();
-    let pristine_first = debug_probe_reset_determinism(app);
-    let mut decisions: Vec<VfDecision> = Vec::with_capacity(n);
-    coordinator.init(&ctxs, &mut decisions);
-    assert_eq!(decisions.len(), n, "one initial decision per cluster");
-    for (c, decision) in decisions.iter().enumerate() {
-        apply_decision(chip.cluster_mut(c), decision).expect("initial decision in range");
-    }
-
-    let total = frames.min(app.frames());
-    let mut report = RunReport::new(coordinator.name(), app.name(), period);
-    report.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
-    let mut cluster_reports: Vec<RunReport> = (0..n)
-        .map(|c| {
-            let mut r = RunReport::new(coordinator.name(), chip.cluster_name(c), period);
-            r.reserve_frames(usize::try_from(total).unwrap_or(usize::MAX));
-            r
-        })
-        .collect();
-
-    let mut shares = initial_shares.to_vec();
-    let mut demand = FrameDemand::default();
-    let mut cluster_demands = vec![FrameDemand::default(); n];
-    let mut work: Vec<Vec<WorkSlice>> = cores.iter().map(|&k| vec![WorkSlice::IDLE; k]).collect();
-    let mut frame = ManyCoreFrameResult::empty();
-
-    for epoch in 0..total {
-        app.next_frame_into(&mut demand);
-        split_demand_into(&demand, &shares, &cores, &mut cluster_demands);
-        for (slices, slice_demand) in work.iter_mut().zip(&cluster_demands) {
-            to_work_slices_into(slice_demand, slices);
-        }
-        chip.run_frame_into(&work, period, &mut frame)
-            .expect("work buffers sized to the topology");
-        report.record_frame(
-            frame.frame_time,
-            frame.wall_time,
-            frame.energy,
-            frame.clusters[0].cluster_opp,
-            frame.met_deadline(),
-        );
-        for (c, cluster_report) in cluster_reports.iter_mut().enumerate() {
-            let f = &frame.clusters[c];
-            cluster_report.record_frame(
-                f.frame_time,
-                f.wall_time,
-                f.energy,
-                f.cluster_opp,
-                f.met_deadline(),
-            );
-        }
-        coordinator.decide_into(
-            &ManyCoreObservation {
-                frames: &frame.clusters,
-                epoch,
-            },
-            &mut decisions,
-            &mut shares,
-        );
-        assert_eq!(decisions.len(), n, "one decision per cluster");
-        if let Some(monitors) = monitors.as_deref_mut() {
-            // Sampled after decide_into() so ε/convergence reflect this
-            // epoch's selections.
-            let peak = frame
-                .clusters
-                .iter()
-                .map(|f| f.temperature)
-                .fold(frame.clusters[0].temperature, qgov_units::Temp::max);
-            monitors.observe(&MonitorSample {
-                epoch,
-                frame_time_ratio: frame.frame_time.ratio(period),
-                met_deadline: frame.met_deadline(),
-                opp: frame.clusters[0].cluster_opp,
-                temperature_c: peak.as_celsius(),
-                energy_j: frame.energy.as_joules(),
-                epsilon: coordinator.exploration_epsilon().unwrap_or(f64::NAN),
-                converged: coordinator.has_converged().unwrap_or(false),
-            });
-        }
-        for (c, decision) in decisions.iter().enumerate() {
+            if faulted {
+                let requested = std::mem::replace(decision, VfDecision::NoChange);
+                *decision =
+                    faulted_decision(&mut injector, epoch, c, chip.current_opp(c), requested);
+            }
             apply_decision(chip.cluster_mut(c), decision).expect("decision in range");
             chip.add_overhead(c, coordinator.processing_overhead(c));
         }
@@ -494,12 +400,39 @@ fn run_manycore_experiment_inner(
             cluster.peak_temperature(),
         );
     }
+    if let Some(monitors) = monitors {
+        report.set_monitor_report(monitors.report());
+    }
     debug_assert_no_run_state_bleed(app, pristine_first.as_ref(), total);
     ManyCoreOutcome {
         report,
         cluster_reports,
         platform: chip,
         shares,
+    }
+}
+
+/// Debug-build checks of the chip frame's accounting against its own
+/// clusters: chip energy is the sum of the cluster energies, bit for
+/// bit, folded in cluster order; the chip frame time is the slowest
+/// cluster's.
+fn debug_assert_chip_accounting(frame: &ManyCoreFrameResult) {
+    if cfg!(debug_assertions) {
+        let mut energy = Energy::ZERO;
+        let mut slowest = SimTime::ZERO;
+        for f in &frame.clusters {
+            energy += f.energy;
+            slowest = slowest.max(f.frame_time);
+        }
+        assert_eq!(
+            frame.energy.as_joules().to_bits(),
+            energy.as_joules().to_bits(),
+            "chip energy must equal the in-order sum of its clusters' energies"
+        );
+        assert_eq!(
+            frame.frame_time, slowest,
+            "chip frame time must equal the slowest cluster's"
+        );
     }
 }
 

@@ -96,90 +96,13 @@ impl EpochHistory {
     }
 }
 
-impl RtmConfig {
-    /// Number of Q-table states this configuration spans
-    /// (`workload_levels × slack_levels`).
-    #[must_use]
-    pub fn state_count(&self) -> usize {
-        self.workload_levels * self.slack_levels
-    }
-
-    /// The learning hyper-parameters as an [`AgentConfig`] — the one
-    /// construction [`RtmGovernor::init`] and fleet agent lanes share,
-    /// so a fleet instance's agent is built from the identical inputs.
-    #[must_use]
-    pub fn agent_config(&self) -> AgentConfig {
-        AgentConfig {
-            alpha: self.alpha,
-            discount: self.discount,
-            epsilon: self.epsilon.clone(),
-            convergence_window: self.convergence_window,
-            optimistic_gradient: self.optimistic_gradient,
-        }
-    }
-
-    /// Builds the configured exploration policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid exploration parameters (call
-    /// [`RtmConfig::validate`] first — [`RtmGovernor::new`] does).
-    #[must_use]
-    pub fn exploration_policy(&self) -> Box<dyn ExplorationPolicy + Send> {
-        match self.exploration {
-            ExplorationKind::Epd { lambda, beta } => {
-                Box::new(EpdPolicy::new(lambda, beta).expect("validated"))
-            }
-            ExplorationKind::Upd => Box::new(UniformPolicy::new()),
-            ExplorationKind::Softmax { temperature } => {
-                Box::new(SoftmaxPolicy::new(temperature).expect("validated"))
-            }
-        }
-    }
-}
-
-/// The per-epoch learning interface [`RtmLane::decide`] drives: one
-/// Bellman-update + ε-greedy-selection step, plus the two telemetry
-/// reads the [`EpochRecord`] needs. Implemented by [`QLearningAgent`]
-/// (the flat governor's own agent) and by fleet arena-lane adapters,
-/// so the flat and fleet paths run the byte-for-byte same decide body
-/// and differ only in where the Q-values live.
-pub trait EpochAgent {
-    /// Runs one decision epoch (Bellman update + action selection).
-    fn begin_epoch(&mut self, state: usize, reward: f64, slack: f64) -> usize;
-    /// Current exploration probability ε.
-    fn epsilon(&self) -> f64;
-    /// Cumulative exploratory (non-greedy) selections so far.
-    fn exploration_count(&self) -> u64;
-}
-
-impl EpochAgent for QLearningAgent {
-    fn begin_epoch(&mut self, state: usize, reward: f64, slack: f64) -> usize {
-        QLearningAgent::begin_epoch(self, state, reward, slack)
-    }
-
-    fn epsilon(&self) -> f64 {
-        QLearningAgent::epsilon(self)
-    }
-
-    fn exploration_count(&self) -> u64 {
-        QLearningAgent::exploration_count(self)
-    }
-}
-
-/// One RTM instance's **non-learning** state — EWMA predictors, slack
-/// tracking, state mapping, calibration, scratch buffers, telemetry —
-/// factored out of [`RtmGovernor`] so a fleet engine can step many
-/// instances whose Q-tables live in one shared arena
-/// (`qgov_rl::AgentLanes`) instead of one boxed agent each.
-///
-/// [`RtmLane::decide`] is the *entire* RTM decision body, generic over
-/// [`EpochAgent`]: the flat governor passes its own
-/// [`QLearningAgent`], a fleet passes an arena-lane adapter, and both
-/// execute the identical floating-point sequence — which is what makes
-/// fleet results bit-identical to sequential flat runs.
+/// One RTM run's **non-learning** state — EWMA predictors, slack
+/// tracking, state mapping, calibration, scratch buffers, telemetry.
+/// [`RtmGovernor`] holds one per `init` beside its [`QLearningAgent`]
+/// (the lane exists only once a platform context does), and
+/// [`RtmLane::decide`] is the entire RTM decision body over that agent.
 #[derive(Debug)]
-pub struct RtmLane {
+struct RtmLane {
     config: RtmConfig,
     cores: usize,
     period: SimTime,
@@ -203,15 +126,13 @@ pub struct RtmLane {
 }
 
 impl RtmLane {
-    /// Builds a fresh lane for one (platform, workload) context — the
-    /// exact per-run state [`RtmGovernor::init`] establishes.
+    /// Builds a fresh lane for one (platform, workload) context.
     ///
     /// # Panics
     ///
     /// Panics if `config` is invalid; validate first
     /// ([`RtmGovernor::new`] does).
-    #[must_use]
-    pub fn new(config: &RtmConfig, ctx: &GovernorContext) -> Self {
+    fn new(config: &RtmConfig, ctx: &GovernorContext) -> Self {
         config.validate().expect("validated RtmConfig");
         let cores = ctx.cores();
         let slack = match config.slack_window {
@@ -248,62 +169,44 @@ impl RtmLane {
 
     /// The conservative first decision a fresh RTM issues before any
     /// observation: the highest OPP.
-    #[must_use]
-    pub fn first_decision(&self) -> VfDecision {
+    fn first_decision(&self) -> VfDecision {
         VfDecision::Cluster(self.table.max_index())
-    }
-
-    /// Cores of the lane's platform context.
-    #[must_use]
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    /// The per-frame deadline `T_ref` of the lane's context.
-    #[must_use]
-    pub fn period(&self) -> SimTime {
-        self.period
     }
 
     /// Attaches a streaming [`PropertySet`] to the epoch stream (see
     /// [`RtmGovernor::attach_monitor`]).
-    pub fn attach_monitor(&mut self, monitor: PropertySet<EpochRecord>) {
+    fn attach_monitor(&mut self, monitor: PropertySet<EpochRecord>) {
         self.monitor = Some(monitor);
     }
 
     /// The attached monitor set, if any.
-    #[must_use]
-    pub fn monitor(&self) -> Option<&PropertySet<EpochRecord>> {
+    fn monitor(&self) -> Option<&PropertySet<EpochRecord>> {
         self.monitor.as_ref()
     }
 
     /// Detaches and returns the monitor set.
-    pub fn take_monitor(&mut self) -> Option<PropertySet<EpochRecord>> {
+    fn take_monitor(&mut self) -> Option<PropertySet<EpochRecord>> {
         self.monitor.take()
     }
 
     /// The current average slack ratio `L`.
-    #[must_use]
-    pub fn avg_slack(&self) -> f64 {
+    fn avg_slack(&self) -> f64 {
         self.slack.average()
     }
 
     /// Per-epoch telemetry retained so far (see
     /// [`RtmGovernor::history`]).
-    #[must_use]
-    pub fn history(&self) -> &[EpochRecord] {
+    fn history(&self) -> &[EpochRecord] {
         self.history.as_slice()
     }
 
     /// The state mapper, once pre-characterisation has completed.
-    #[must_use]
-    pub fn state_mapper(&self) -> Option<&StateMapper> {
+    fn state_mapper(&self) -> Option<&StateMapper> {
         self.mapper.as_ref()
     }
 
     /// Per-epoch processing cost of this lane's RTM (Table III).
-    #[must_use]
-    pub fn processing_overhead(&self) -> SimTime {
+    fn processing_overhead(&self) -> SimTime {
         self.config
             .overhead
             .cost(self.cores.max(1), self.table.len())
@@ -334,7 +237,7 @@ impl RtmLane {
 
     /// One full RTM decision epoch over `agent` — pay-off, prediction,
     /// calibration or Bellman update + proactive selection, telemetry.
-    pub fn decide(&mut self, agent: &mut dyn EpochAgent, obs: &EpochObservation<'_>) -> VfDecision {
+    fn decide(&mut self, agent: &mut QLearningAgent, obs: &EpochObservation<'_>) -> VfDecision {
         // --- Step 1 (Section II): pay-off for the elapsed interval. ---
         // The state and the EPD bias use the average slack ratio L
         // (Eq. 5); the pay-off's level term uses the *instantaneous*
@@ -432,9 +335,8 @@ impl RtmLane {
 /// The paper's Q-learning run-time manager, usable as a drop-in
 /// [`Governor`].
 ///
-/// Internally the governor is a thin shell over [`RtmLane`] (all
-/// non-learning per-run state) plus one [`QLearningAgent`]; fleet
-/// engines reuse the lane with arena-backed agents instead.
+/// Internally the governor is a thin shell over a per-run lane (all
+/// non-learning state) plus one [`QLearningAgent`].
 ///
 /// See the [crate documentation](crate) for the algorithm outline and an
 /// example.
@@ -686,12 +588,28 @@ impl Governor for RtmGovernor {
             lane.attach_monitor(monitor);
         }
 
+        let config = &self.config;
+        let policy: Box<dyn ExplorationPolicy + Send> = match config.exploration {
+            ExplorationKind::Epd { lambda, beta } => {
+                Box::new(EpdPolicy::new(lambda, beta).expect("validated"))
+            }
+            ExplorationKind::Upd => Box::new(UniformPolicy::new()),
+            ExplorationKind::Softmax { temperature } => {
+                Box::new(SoftmaxPolicy::new(temperature).expect("validated"))
+            }
+        };
         self.agent = Some(QLearningAgent::with_policy(
-            self.config.agent_config(),
-            self.config.state_count(),
+            AgentConfig {
+                alpha: config.alpha,
+                discount: config.discount,
+                epsilon: config.epsilon.clone(),
+                convergence_window: config.convergence_window,
+                optimistic_gradient: config.optimistic_gradient,
+            },
+            config.workload_levels * config.slack_levels,
             ActionSpace::from_freqs_ghz(&ctx.opp_table().freqs_ghz()),
-            self.config.exploration_policy(),
-            self.config.seed,
+            policy,
+            config.seed,
         ));
 
         // A hardened governor gets a fresh filter per run (the gates
