@@ -9,9 +9,11 @@
 //! `QGOV_SEEDS` the seed sweep (a count or a comma-separated list;
 //! default one seed, matching the recorded single-run baselines).
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
+use qgov_bench::perf::{append_records, passes_from_env, timed_passes, wall_clock, BenchRecord};
 use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::{run_smoothing_ablation_sweep_with, SeedSweep};
+use qgov_bench::sweep::{sweep_metrics, sweep_table, SeedSweep};
+use qgov_bench::worklist::Family;
+use qgov_metrics::fold_by_name;
 
 const TARGET: &str = "ablation_smoothing";
 
@@ -26,31 +28,15 @@ fn main() {
         sweep.describe()
     );
     println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || {
-        run_smoothing_ablation_sweep_with(&sweep, frames, &runner)
+    let (cells, secs) = timed_passes(passes, || {
+        sweep_metrics(Family::Smoothing, &sweep, frames, None, &runner)
     });
-    println!("{}", result.table.render());
+    let summaries = fold_by_name(&cells);
+    println!("{}", sweep_table(Family::Smoothing, &summaries).render());
     println!("expectation: misprediction is minimised near gamma = 0.6, the paper's choice.");
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
+    let wall_clock = wall_clock(TARGET, &secs, &runner);
 
     let mut records = vec![wall_clock];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("normalized_energy/{}", row.label),
-            &row.normalized_energy,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("miss_rate/{}", row.label),
-            &row.miss_rate,
-        ));
-    }
+    records.extend(BenchRecord::from_summaries(TARGET, &summaries));
     append_records(&records);
 }

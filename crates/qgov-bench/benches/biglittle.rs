@@ -9,10 +9,11 @@
 //! seed sweep (default one seed, matching the recorded baselines in
 //! EXPERIMENTS.md).
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
-use qgov_bench::run_biglittle_sweep_with;
+use qgov_bench::perf::{append_records, passes_from_env, timed_passes, wall_clock, BenchRecord};
 use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::SeedSweep;
+use qgov_bench::sweep::{sweep_metrics, sweep_table, SeedSweep};
+use qgov_bench::worklist::Family;
+use qgov_metrics::fold_by_name;
 
 const TARGET: &str = "biglittle";
 
@@ -30,39 +31,15 @@ fn main() {
         "   topology: ODROID-XU3 (A15 quad + A7 quad), runner: {}\n",
         runner.describe()
     );
-    let (result, secs) = timed_passes(passes, || run_biglittle_sweep_with(&sweep, frames, &runner));
+    let (cells, secs) = timed_passes(passes, || {
+        sweep_metrics(Family::BigLittle, &sweep, frames, None, &runner)
+    });
+    let summaries = fold_by_name(&cells);
 
-    println!("{}", result.table.render());
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
+    println!("{}", sweep_table(Family::BigLittle, &summaries).render());
+    let wall_clock = wall_clock(TARGET, &secs, &runner);
 
     let mut records = vec![wall_clock];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("energy_joules/{}", row.placement),
-            &row.energy_joules,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("normalized_energy/{}", row.placement),
-            &row.normalized_energy,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("miss_rate/{}", row.placement),
-            &row.miss_rate,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("energy_per_met_frame/{}", row.placement),
-            &row.energy_per_met_frame,
-        ));
-    }
+    records.extend(BenchRecord::from_summaries(TARGET, &summaries));
     append_records(&records);
 }

@@ -11,10 +11,11 @@
 //! its fault-free run — the contract `tests/fault_injection.rs` pins).
 
 use qgov_bench::faultstorm::{fault_plan_from_env, fault_storm_drop_epoch, run_fault_storm_with};
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
+use qgov_bench::perf::{append_records, passes_from_env, timed_passes, wall_clock, BenchRecord};
 use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::SeedSweep;
-use std::collections::BTreeMap;
+use qgov_bench::sweep::{sweep_table, SeedSweep};
+use qgov_bench::worklist::Family;
+use qgov_metrics::fold_by_name;
 
 const TARGET: &str = "fault_storm";
 
@@ -35,54 +36,21 @@ fn main() {
         fault_storm_drop_epoch(frames),
         runner.describe()
     );
-    let (results, secs) = timed_passes(passes, || {
+    // Per seed rather than through the campaign dispatch, which always
+    // replays the standard schedule: this target honours QGOV_FAULTS.
+    let (cells, secs) = timed_passes(passes, || {
         sweep
             .seeds()
             .iter()
-            .map(|&seed| run_fault_storm_with(seed, frames, &plan, &runner))
+            .map(|&seed| run_fault_storm_with(seed, frames, &plan, &runner).metrics())
             .collect::<Vec<_>>()
     });
+    let summaries = fold_by_name(&cells);
 
-    println!(
-        "{}",
-        results.last().expect("at least one seed").table.render()
-    );
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
+    println!("{}", sweep_table(Family::FaultStorm, &summaries).render());
+    let wall_clock = wall_clock(TARGET, &secs, &runner);
 
-    // Per-governor samples across the seed sweep.
-    let mut samples: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for result in &results {
-        for row in &result.rows {
-            let slug = row.governor.replace('-', "_");
-            for (metric, value) in [
-                ("energy_joules", row.energy_joules),
-                ("miss_rate", row.miss_rate),
-                ("post_drop_miss_rate", row.post_drop_miss_rate),
-                ("worst_excursion", row.recovery.worst_excursion),
-                ("degraded_epochs", row.recovery.degraded_epochs as f64),
-            ] {
-                samples
-                    .entry(format!("{metric}/{slug}"))
-                    .or_default()
-                    .push(value);
-            }
-            if let Some(ttr) = row.recovery.time_to_recover {
-                samples
-                    .entry(format!("time_to_recover/{slug}"))
-                    .or_default()
-                    .push(ttr as f64);
-            }
-        }
-    }
     let mut records = vec![wall_clock];
-    for (metric, values) in &samples {
-        records.push(BenchRecord::from_samples(TARGET, metric.clone(), values));
-    }
+    records.extend(BenchRecord::from_summaries(TARGET, &summaries));
     append_records(&records);
 }

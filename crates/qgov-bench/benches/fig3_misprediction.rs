@@ -11,9 +11,12 @@
 //! (a count or a comma-separated list; default one seed, matching the
 //! recorded single-run baselines).
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
+use qgov_bench::experiments::run_fig3_with;
+use qgov_bench::perf::{append_records, passes_from_env, timed_passes, wall_clock, BenchRecord};
 use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::{run_fig3_sweep_with, SeedSweep};
+use qgov_bench::sweep::{sweep_metrics, sweep_table, SeedSweep};
+use qgov_bench::worklist::Family;
+use qgov_metrics::fold_by_name;
 
 const TARGET: &str = "fig3_misprediction";
 
@@ -29,44 +32,35 @@ fn main() {
     );
     println!("   (scene change scripted at frame 90, as in the paper's sequence)");
     println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || run_fig3_sweep_with(&sweep, frames, &runner));
+    let (cells, secs) = timed_passes(passes, || {
+        sweep_metrics(Family::Fig3, &sweep, frames, None, &runner)
+    });
+    let summaries = fold_by_name(&cells);
 
-    println!("{}", result.table.render());
+    println!("{}", sweep_table(Family::Fig3, &summaries).render());
     println!("paper reference: early ~8%, late ~3%");
-    let first = &result.per_seed[0];
-    if result.seeds.len() == 1 {
+    // The plottable series is inherently per-seed: the first (base)
+    // seed's run, as the single-run baseline always has.
+    let base = sweep.seeds()[0];
+    let first = run_fig3_with(base, frames, &runner);
+    if sweep.n() == 1 {
         println!(
             "frames with >15% misprediction: {:?}",
             first.mispredicted_frames
         );
     }
 
-    // The plottable series is inherently per-seed; write the first
-    // (base) seed's CSV, as the single-run baseline always has.
     let out = std::path::Path::new("target").join("fig3_misprediction.csv");
     if let Some(parent) = out.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
     match std::fs::write(&out, &first.csv) {
-        Ok(()) => println!(
-            "\nfull series (seed {}) written to {}",
-            result.seeds[0],
-            out.display()
-        ),
-        Err(e) => println!("\ncould not write {}: {e}", out.display()),
+        Ok(()) => println!("full series (seed {base}) written to {}", out.display()),
+        Err(e) => println!("could not write {}: {e}", out.display()),
     }
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "wall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
+    let wall_clock = wall_clock(TARGET, &secs, &runner);
 
-    append_records(&[
-        wall_clock,
-        BenchRecord::from_summary(TARGET, "early_misprediction", &result.early_misprediction),
-        BenchRecord::from_summary(TARGET, "late_misprediction", &result.late_misprediction),
-        BenchRecord::from_summary(TARGET, "mispredicted_frames", &result.mispredicted_frames),
-    ]);
+    let mut records = vec![wall_clock];
+    records.extend(BenchRecord::from_summaries(TARGET, &summaries));
+    append_records(&records);
 }

@@ -13,15 +13,17 @@
 //! baselines in EXPERIMENTS.md).
 //!
 //! Every run carries the standard temporal property pack
-//! ([`PackConfig::paper`]) as an always-on oracle: the per-seed
+//! ([`PackConfig::paper`]) as an always-on oracle: the base seed's
 //! verdict table is printed alongside the metrics, and **any violated
-//! property fails the target** — this is CI's monitored long-horizon
-//! smoke (`QGOV_FRAMES=20000`).
+//! property on any seed fails the target** — this is CI's monitored
+//! long-horizon smoke (`QGOV_FRAMES=20000`).
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
+use qgov_bench::experiments::run_long_horizon_monitored_with;
+use qgov_bench::perf::{append_records, passes_from_env, timed_passes, wall_clock, BenchRecord};
 use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::{run_long_horizon_monitored_sweep_with, SeedSweep};
-use qgov_metrics::PackConfig;
+use qgov_bench::sweep::{sweep_metrics, sweep_table, SeedSweep};
+use qgov_bench::worklist::Family;
+use qgov_metrics::{fold_by_name, PackConfig};
 
 const TARGET: &str = "long_horizon";
 
@@ -37,38 +39,37 @@ fn main() {
         sweep.describe()
     );
     println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || {
-        run_long_horizon_monitored_sweep_with(&sweep, frames, &runner, &pack)
+    let (cells, secs) = timed_passes(passes, || {
+        sweep_metrics(Family::LongHorizon, &sweep, frames, Some(&pack), &runner)
     });
+    let summaries = fold_by_name(&cells);
 
-    let first = &result.per_seed[0];
+    // The per-window and per-property drill-down is inherently
+    // per-seed: the first (base) seed's run.
+    let base = sweep.seeds()[0];
+    let first = run_long_horizon_monitored_with(base, frames, &runner, &pack);
     println!(
         "streamed from {} CSV shards of {} frames (≤ {} frames resident per replay)\n",
         first.shard_count, first.shard_frames, first.shard_frames
     );
-    println!("{}", result.table.render());
-    println!(
-        "convergence over time (seed {}, miss rate per window, proposed mean T/T_ref):",
-        result.seeds[0]
-    );
+    println!("{}", sweep_table(Family::LongHorizon, &summaries).render());
+    println!("convergence over time (seed {base}, miss rate per window, proposed mean T/T_ref):");
     println!("{}", first.windows_table.render());
 
-    // The always-on temporal oracle: print the verdicts for the first
+    // The always-on temporal oracle: print the verdicts for the base
     // seed, fail the target if any seed's run violated a property.
-    let mut violations = 0usize;
-    for (seed, per_seed) in result.seeds.iter().zip(&result.per_seed) {
-        for row in &per_seed.rows {
-            if let Some(monitor) = &row.monitor {
-                violations += monitor.violation_count();
-                if !monitor.is_clean() {
-                    eprintln!("seed {seed} {}: {}", row.method, monitor.summary());
-                }
+    let mut violations = 0.0;
+    for (seed, cell) in sweep.seeds().iter().zip(&cells) {
+        for (name, count) in cell {
+            if name.starts_with("monitor_violations/") && *count > 0.0 {
+                violations += count;
+                eprintln!("seed {seed} {name} = {count}");
             }
         }
     }
     println!(
-        "\ntemporal properties (seed {}, thermal cap {:.0} °C, miss bound {:.0}% per {}-epoch window):",
-        result.seeds[0], pack.thermal_cap_c, pack.miss_bound * 100.0, pack.miss_window
+        "\ntemporal properties (seed {base}, thermal cap {:.0} °C, miss bound {:.0}% per {}-epoch window):",
+        pack.thermal_cap_c, pack.miss_bound * 100.0, pack.miss_window
     );
     for row in &first.rows {
         if let Some(monitor) = &row.monitor {
@@ -77,16 +78,10 @@ fn main() {
         }
     }
     assert_eq!(
-        violations, 0,
+        violations, 0.0,
         "temporal property violations detected — see stderr above"
     );
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
+    let wall_clock = wall_clock(TARGET, &secs, &runner);
 
     let rates: Vec<f64> = secs
         .iter()
@@ -96,22 +91,6 @@ fn main() {
         wall_clock,
         BenchRecord::from_samples(TARGET, "frames_per_sec", &rates),
     ];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("normalized_energy/{}", row.method),
-            &row.normalized_energy,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("miss_rate/{}", row.method),
-            &row.miss_rate,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("late_miss_rate/{}", row.method),
-            &row.late_miss_rate,
-        ));
-    }
+    records.extend(BenchRecord::from_summaries(TARGET, &summaries));
     append_records(&records);
 }

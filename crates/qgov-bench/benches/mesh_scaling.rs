@@ -9,10 +9,11 @@
 //! picks the runner policy; `QGOV_SEEDS` the seed sweep (default one
 //! seed, matching the recorded baselines in EXPERIMENTS.md).
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
-use qgov_bench::run_mesh_scaling_sweep_with;
+use qgov_bench::perf::{append_records, passes_from_env, timed_passes, wall_clock, BenchRecord};
 use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::SeedSweep;
+use qgov_bench::sweep::{sweep_metrics, sweep_table, SeedSweep};
+use qgov_bench::worklist::Family;
+use qgov_metrics::fold_by_name;
 
 const TARGET: &str = "mesh_scaling";
 
@@ -27,36 +28,15 @@ fn main() {
         sweep.describe()
     );
     println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || {
-        run_mesh_scaling_sweep_with(&sweep, frames, &runner)
+    let (cells, secs) = timed_passes(passes, || {
+        sweep_metrics(Family::MeshScaling, &sweep, frames, None, &runner)
     });
+    let summaries = fold_by_name(&cells);
 
-    println!("{}", result.table.render());
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
+    println!("{}", sweep_table(Family::MeshScaling, &summaries).render());
+    let wall_clock = wall_clock(TARGET, &secs, &runner);
 
     let mut records = vec![wall_clock];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("energy_per_cluster/{}clusters", row.clusters),
-            &row.energy_per_cluster,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("miss_rate/{}clusters", row.clusters),
-            &row.miss_rate,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("migrations/{}clusters", row.clusters),
-            &row.migrations,
-        ));
-    }
+    records.extend(BenchRecord::from_summaries(TARGET, &summaries));
     append_records(&records);
 }

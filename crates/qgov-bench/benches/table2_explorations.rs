@@ -9,9 +9,11 @@
 //! `QGOV_SEEDS` the seed sweep (a count or a comma-separated list;
 //! default one seed, matching the recorded single-run baselines).
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
+use qgov_bench::perf::{append_records, passes_from_env, timed_passes, wall_clock, BenchRecord};
 use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::{run_table2_sweep_with, SeedSweep};
+use qgov_bench::sweep::{sweep_metrics, sweep_table, SeedSweep};
+use qgov_bench::worklist::Family;
+use qgov_metrics::fold_by_name;
 
 const TARGET: &str = "table2_explorations";
 
@@ -23,37 +25,18 @@ fn main() {
     println!("== Table II: comparative number of explorations ==");
     println!("   {frames} frames per application, {}", sweep.describe());
     println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || run_table2_sweep_with(&sweep, frames, &runner));
-    println!("{}", result.table.render());
+    let (cells, secs) = timed_passes(passes, || {
+        sweep_metrics(Family::Table2, &sweep, frames, None, &runner)
+    });
+    let summaries = fold_by_name(&cells);
+    println!("{}", sweep_table(Family::Table2, &summaries).render());
     println!("paper reference (measured on ODROID-XU3):");
     println!("  MPEG4 (30 fps)   144 -> 83");
     println!("  H.264 (15 fps)   149 -> 90");
     println!("  FFT (32 fps)     119 -> 74");
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
+    let wall_clock = wall_clock(TARGET, &secs, &runner);
 
     let mut records = vec![wall_clock];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("upd_explorations/{}", row.app),
-            &row.upd_explorations,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("epd_explorations/{}", row.app),
-            &row.epd_explorations,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("epd_upd_ratio/{}", row.app),
-            &row.epd_upd_ratio,
-        ));
-    }
+    records.extend(BenchRecord::from_summaries(TARGET, &summaries));
     append_records(&records);
 }

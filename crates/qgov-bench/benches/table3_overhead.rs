@@ -10,9 +10,11 @@
 //! `QGOV_SEEDS` the seed sweep (a count or a comma-separated list;
 //! default one seed, matching the recorded single-run baselines).
 
-use qgov_bench::perf::{append_records, passes_from_env, timed_passes, BenchRecord};
+use qgov_bench::perf::{append_records, passes_from_env, timed_passes, wall_clock, BenchRecord};
 use qgov_bench::runner::{frames_from_env, RunnerConfig};
-use qgov_bench::sweep::{run_table3_sweep_with, SeedSweep};
+use qgov_bench::sweep::{sweep_metrics, sweep_table, SeedSweep};
+use qgov_bench::worklist::Family;
+use qgov_metrics::fold_by_name;
 
 const TARGET: &str = "table3_overhead";
 
@@ -27,31 +29,17 @@ fn main() {
         sweep.describe()
     );
     println!("   runner: {}\n", runner.describe());
-    let (result, secs) = timed_passes(passes, || run_table3_sweep_with(&sweep, frames, &runner));
-    println!("{}", result.table.render());
+    let (cells, secs) = timed_passes(passes, || {
+        sweep_metrics(Family::Table3, &sweep, frames, None, &runner)
+    });
+    let summaries = fold_by_name(&cells);
+    println!("{}", sweep_table(Family::Table3, &summaries).render());
     println!("paper reference (measured on ODROID-XU3):");
     println!("  Multi-core DVFS control [20]  205 decision epochs");
     println!("  Our approach                  105 decision epochs");
-    let wall_clock = BenchRecord::from_samples(TARGET, "wall_clock_s", &secs);
-    println!(
-        "\nwall-clock: {:.3} s ± {:.3} over {passes} pass(es) ({})",
-        wall_clock.mean,
-        wall_clock.sigma,
-        runner.describe()
-    );
+    let wall_clock = wall_clock(TARGET, &secs, &runner);
 
     let mut records = vec![wall_clock];
-    for row in &result.rows {
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("exploration_epochs/{}", row.method),
-            &row.exploration_epochs,
-        ));
-        records.push(BenchRecord::from_summary(
-            TARGET,
-            format!("convergence_epochs/{}", row.method),
-            &row.convergence_epochs,
-        ));
-    }
+    records.extend(BenchRecord::from_summaries(TARGET, &summaries));
     append_records(&records);
 }

@@ -27,6 +27,7 @@
 
 use crate::harness::{precharacterize, run_experiment, run_experiment_monitored};
 use crate::runner::{ExperimentBatch, RunnerConfig};
+use crate::worklist::{slug, CellMetrics};
 use qgov_core::{HistoryMode, RtmConfig, RtmGovernor, StateKind};
 use qgov_governors::{
     ConservativeGovernor, GeQiuConfig, GeQiuGovernor, Governor, OndemandGovernor, OracleGovernor,
@@ -76,6 +77,27 @@ pub struct Table1Result {
     pub table: ComparisonTable,
 }
 
+impl Table1Result {
+    /// The result as campaign metrics: `normalized_energy`,
+    /// `normalized_performance`, `miss_rate`, `mean_opp` and
+    /// `energy_joules`, each keyed by methodology (`…/rtm`).
+    #[must_use]
+    pub fn metrics(&self) -> CellMetrics {
+        let mut out = CellMetrics::new();
+        for (label, row) in TABLE1_LABELS.iter().zip(&self.rows) {
+            out.push((format!("normalized_energy/{label}"), row.normalized_energy));
+            out.push((
+                format!("normalized_performance/{label}"),
+                row.normalized_performance,
+            ));
+            out.push((format!("miss_rate/{label}"), row.miss_rate));
+            out.push((format!("mean_opp/{label}"), row.mean_opp));
+            out.push((format!("energy_joules/{label}"), row.energy_joules));
+        }
+        out
+    }
+}
+
 /// **Table I** — comparative normalised energy and performance on the
 /// H.264 football sequence (paper Section III-A), with the execution
 /// policy read from `QGOV_WORKERS` ([`RunnerConfig::from_env`]).
@@ -91,7 +113,7 @@ pub fn run_table1(seed: u64, frames: u64) -> Table1Result {
 /// methodology runs are independent batch cells.
 #[must_use]
 pub fn run_table1_with(seed: u64, frames: u64, runner: &RunnerConfig) -> Table1Result {
-    let prep = table1_prepare(seed, frames);
+    let prep = football_prepare(seed, frames);
     let mut batch = ExperimentBatch::new();
     batch.expand_cells(TABLE1_LABELS, &[seed], &[frames], |label, seed, frames| {
         table1_cell(label, &prep, seed, frames)
@@ -108,14 +130,21 @@ pub(crate) struct TracePrep {
     pub(crate) bounds: (f64, f64),
 }
 
+impl TracePrep {
+    /// Records `app` ([`precharacterize`]).
+    pub(crate) fn record(app: &mut dyn Application) -> Self {
+        let (trace, bounds) = precharacterize(app);
+        TracePrep { trace, bounds }
+    }
+}
+
 /// Table I's methodology cells, in row order.
 pub(crate) const TABLE1_LABELS: &[&str] = &["ondemand", "geqiu", "rtm", "oracle"];
 
-/// Records Table I's per-seed workload (the H.264 football sequence).
-pub(crate) fn table1_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = VideoDecoderModel::h264_football_15fps(seed).with_frames(frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
+/// Records the H.264 football sequence for one seed: the workload of
+/// Table I and of the state-levels and shared-table ablations.
+pub(crate) fn football_prepare(seed: u64, frames: u64) -> TracePrep {
+    TracePrep::record(&mut VideoDecoderModel::h264_football_15fps(seed).with_frames(frames))
 }
 
 /// Runs one Table I methodology cell against the prepared trace.
@@ -214,6 +243,30 @@ pub struct Table2Result {
     pub table: ComparisonTable,
 }
 
+impl Table2Result {
+    /// The result as campaign metrics: `upd_explorations`,
+    /// `epd_explorations` and their per-seed ratio `epd_upd_ratio` (the
+    /// paper's headline reduction), each keyed by application
+    /// (`…/mpeg4`).
+    #[must_use]
+    pub fn metrics(&self) -> CellMetrics {
+        let mut out = CellMetrics::new();
+        // TABLE2_LABELS pairs (app/upd, app/epd) fold into one row per
+        // app; recover the short app key from the pair.
+        let apps = TABLE2_LABELS
+            .iter()
+            .step_by(2)
+            .map(|label| label.split('/').next().expect("app/policy label"));
+        for (app, row) in apps.zip(&self.rows) {
+            let (upd, epd) = (row.upd_explorations as f64, row.epd_explorations as f64);
+            out.push((format!("upd_explorations/{app}"), upd));
+            out.push((format!("epd_explorations/{app}"), epd));
+            out.push((format!("epd_upd_ratio/{app}"), epd / upd));
+        }
+        out
+    }
+}
+
 fn explorations_of(rtm: &RtmGovernor) -> u64 {
     rtm.explorations_to_convergence()
         .unwrap_or_else(|| rtm.exploration_count())
@@ -263,10 +316,7 @@ pub(crate) fn table2_prepare(seed: u64, _frames: u64) -> Vec<TracePrep> {
         Box::new(FftModel::fft_32fps(seed)),
     ];
     apps.iter_mut()
-        .map(|app| {
-            let (trace, bounds) = precharacterize(app.as_mut());
-            TracePrep { trace, bounds }
-        })
+        .map(|app| TracePrep::record(app.as_mut()))
         .collect()
 }
 
@@ -348,6 +398,26 @@ pub struct Table3Result {
     pub table: ComparisonTable,
 }
 
+impl Table3Result {
+    /// The result as campaign metrics: `exploration_epochs` and, for
+    /// the methodologies that converged, `convergence_epochs`, keyed by
+    /// methodology (`…/geqiu`, `…/rtm`).
+    #[must_use]
+    pub fn metrics(&self) -> CellMetrics {
+        let mut out = CellMetrics::new();
+        for (label, row) in TABLE3_LABELS.iter().zip(&self.rows) {
+            out.push((
+                format!("exploration_epochs/{label}"),
+                row.exploration_epochs as f64,
+            ));
+            if let Some(epochs) = row.convergence_epochs {
+                out.push((format!("convergence_epochs/{label}"), epochs as f64));
+            }
+        }
+        out
+    }
+}
+
 /// **Table III** — worst-case learning overhead in decision epochs
 /// (Section III-D), with the execution policy read from `QGOV_WORKERS`.
 #[must_use]
@@ -379,9 +449,7 @@ pub(crate) fn table3_prepare(seed: u64, _frames: u64) -> TracePrep {
     params.name = "mpeg4-31ms".into();
     params.fps = 1.0 / 0.031;
     params.forced_scene_frames.clear();
-    let mut app = VideoDecoderModel::new(params).expect("valid params");
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
+    TracePrep::record(&mut VideoDecoderModel::new(params).expect("valid params"))
 }
 
 /// Runs one Table III methodology cell, reporting
@@ -473,6 +541,23 @@ pub struct Fig3Result {
     pub csv: String,
 }
 
+impl Fig3Result {
+    /// The headline statistics as campaign metrics:
+    /// `early_misprediction`, `late_misprediction` and the count of
+    /// `mispredicted_frames` (un-keyed: Fig. 3 has one cell).
+    #[must_use]
+    pub fn metrics(&self) -> CellMetrics {
+        vec![
+            ("early_misprediction".into(), self.early_misprediction),
+            ("late_misprediction".into(), self.late_misprediction),
+            (
+                "mispredicted_frames".into(),
+                self.mispredicted_frames.len() as f64,
+            ),
+        ]
+    }
+}
+
 /// **Fig. 3** — workload misprediction for MPEG4 at 24 fps (γ = 0.6)
 /// and the learning impact on average slack (Section III-B), with the
 /// execution policy read from `QGOV_WORKERS`.
@@ -487,7 +572,7 @@ pub fn run_fig3(seed: u64, frames: u64) -> Fig3Result {
 /// misprediction burst.
 #[must_use]
 pub fn run_fig3_with(seed: u64, frames: u64, runner: &RunnerConfig) -> Fig3Result {
-    let prep = fig3_prepare(seed, frames);
+    let prep = svga_prepare(seed, frames);
     let mut batch = ExperimentBatch::new();
     batch.expand_cells(FIG3_LABELS, &[seed], &[frames], |label, seed, frames| {
         fig3_cell(label, &prep, seed, frames)
@@ -498,12 +583,10 @@ pub fn run_fig3_with(seed: u64, frames: u64, runner: &RunnerConfig) -> Fig3Resul
 /// Fig. 3's single cell.
 pub(crate) const FIG3_LABELS: &[&str] = &["rtm"];
 
-/// Records Fig. 3's per-seed workload (MPEG4 SVGA at 24 fps with the
-/// scripted scene change).
-pub(crate) fn fig3_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = VideoDecoderModel::mpeg4_svga_24fps(seed).with_frames(frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
+/// Records MPEG4 SVGA at 24 fps (with the scripted scene change) for
+/// one seed: the workload of Fig. 3 and of the smoothing ablation.
+pub(crate) fn svga_prepare(seed: u64, frames: u64) -> TracePrep {
+    TracePrep::record(&mut VideoDecoderModel::mpeg4_svga_24fps(seed).with_frames(frames))
 }
 
 /// Runs Fig. 3's RTM cell, returning the full epoch history (the
@@ -576,6 +659,9 @@ pub(crate) fn fig3_assemble(cells: Vec<Vec<qgov_core::EpochRecord>>) -> Fig3Resu
 pub struct AblationRow {
     /// Configuration label.
     pub label: String,
+    /// Stable metric key of the configuration (`n_3`, `gamma_0_6`,
+    /// `per_core_share`): its cell label, slugged.
+    pub key: String,
     /// Energy normalised to the Oracle on the same trace.
     pub normalized_energy: f64,
     /// Mean `Tᵢ/T_ref`.
@@ -586,6 +672,9 @@ pub struct AblationRow {
     pub convergence_epochs: Option<u64>,
     /// Explorations until convergence (or total if never converged).
     pub explorations: u64,
+    /// Mean relative workload misprediction over the run (the
+    /// smoothing ablation only).
+    pub misprediction: Option<f64>,
 }
 
 /// An ablation sweep bundle.
@@ -595,6 +684,35 @@ pub struct AblationResult {
     pub rows: Vec<AblationRow>,
     /// Rendered comparison table.
     pub table: ComparisonTable,
+}
+
+impl AblationResult {
+    /// The result as campaign metrics: `normalized_energy`,
+    /// `normalized_performance`, `miss_rate`, `explorations`, and where
+    /// reported `convergence_epochs` and `misprediction`, keyed by each
+    /// row's [`key`](AblationRow::key) (the Oracle reference has no
+    /// row).
+    #[must_use]
+    pub fn metrics(&self) -> CellMetrics {
+        let mut out = CellMetrics::new();
+        for row in &self.rows {
+            let key = &row.key;
+            out.push((format!("normalized_energy/{key}"), row.normalized_energy));
+            out.push((
+                format!("normalized_performance/{key}"),
+                row.normalized_performance,
+            ));
+            out.push((format!("miss_rate/{key}"), row.miss_rate));
+            out.push((format!("explorations/{key}"), row.explorations as f64));
+            if let Some(epochs) = row.convergence_epochs {
+                out.push((format!("convergence_epochs/{key}"), epochs as f64));
+            }
+            if let Some(misprediction) = row.misprediction {
+                out.push((format!("misprediction/{key}"), misprediction));
+            }
+        }
+        out
+    }
 }
 
 fn ablation_table(rows: &[AblationRow], label_header: &str) -> ComparisonTable {
@@ -658,15 +776,22 @@ fn oracle_reference(trace: &WorkloadTrace, frames: u64) -> RunReport {
     .report
 }
 
-fn ablation_row(label: String, cell: &AblationCell, oracle: &RunReport) -> AblationRow {
+fn ablation_row(
+    label: String,
+    cell_label: &str,
+    cell: &AblationCell,
+    oracle: &RunReport,
+) -> AblationRow {
     let (report, converged, explorations) = cell;
     AblationRow {
         label,
+        key: slug(cell_label),
         normalized_energy: report.normalized_energy(oracle),
         normalized_performance: report.normalized_performance(),
         miss_rate: report.miss_rate(),
         convergence_epochs: *converged,
         explorations: *explorations,
+        misprediction: None,
     }
 }
 
@@ -687,7 +812,7 @@ pub fn run_state_levels_ablation_with(
     frames: u64,
     runner: &RunnerConfig,
 ) -> AblationResult {
-    let prep = levels_ablation_prepare(seed, frames);
+    let prep = football_prepare(seed, frames);
     let mut batch = ExperimentBatch::new();
     batch.expand_cells(LEVELS_LABELS, &[seed], &[frames], |label, seed, frames| {
         levels_ablation_cell(label, &prep, seed, frames)
@@ -700,13 +825,6 @@ const LEVELS: [usize; 5] = [3, 4, 5, 7, 9];
 /// The state-levels ablation's cells: the Oracle reference plus one
 /// per N.
 pub(crate) const LEVELS_LABELS: &[&str] = &["oracle", "n=3", "n=4", "n=5", "n=7", "n=9"];
-
-/// Records the state-levels ablation's per-seed workload.
-pub(crate) fn levels_ablation_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = VideoDecoderModel::h264_football_15fps(seed).with_frames(frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
-}
 
 /// Runs one state-levels cell (the Oracle or one N configuration).
 pub(crate) fn levels_ablation_cell(
@@ -735,8 +853,11 @@ pub(crate) fn levels_ablation_assemble(mut cells: Vec<AblationCell>) -> Ablation
     let (oracle, _, _) = cells.remove(0);
     let rows: Vec<AblationRow> = LEVELS
         .iter()
+        .zip(&LEVELS_LABELS[1..])
         .zip(&cells)
-        .map(|(n, cell)| ablation_row(format!("N = {n} ({} states)", n * n), cell, &oracle))
+        .map(|((n, key), cell)| {
+            ablation_row(format!("N = {n} ({} states)", n * n), key, cell, &oracle)
+        })
         .collect();
     let table = ablation_table(&rows, "State levels");
     AblationResult { rows, table }
@@ -760,7 +881,7 @@ pub fn run_smoothing_ablation_with(
     frames: u64,
     runner: &RunnerConfig,
 ) -> AblationResult {
-    let prep = smoothing_ablation_prepare(seed, frames);
+    let prep = svga_prepare(seed, frames);
     let mut batch = ExperimentBatch::new();
     batch.expand_cells(GAMMA_LABELS, &[seed], &[frames], |label, seed, frames| {
         smoothing_ablation_cell(label, &prep, seed, frames)
@@ -780,13 +901,6 @@ pub(crate) const GAMMA_LABELS: &[&str] = &[
     "gamma=0.8",
     "gamma=0.95",
 ];
-
-/// Records the smoothing ablation's per-seed workload.
-pub(crate) fn smoothing_ablation_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = VideoDecoderModel::mpeg4_svga_24fps(seed).with_frames(frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
-}
 
 /// Runs one smoothing cell; γ cells also report their mean relative
 /// misprediction (needs [`HistoryMode::Full`], the config default).
@@ -834,16 +948,11 @@ pub(crate) fn smoothing_ablation_assemble(mut cells: Vec<(AblationCell, f64)>) -
     let ((oracle, _, _), _) = cells.remove(0);
     let rows: Vec<AblationRow> = GAMMAS
         .iter()
+        .zip(&GAMMA_LABELS[1..])
         .zip(&cells)
-        .map(|(gamma, (cell, misprediction))| {
-            ablation_row(
-                format!(
-                    "gamma = {gamma:.2} (misprediction {:.1}%)",
-                    misprediction * 100.0
-                ),
-                cell,
-                &oracle,
-            )
+        .map(|((gamma, key), (cell, misprediction))| AblationRow {
+            misprediction: Some(*misprediction),
+            ..ablation_row(format!("gamma = {gamma:.2}"), key, cell, &oracle)
         })
         .collect();
     let table = ablation_table(&rows, "EWMA smoothing");
@@ -867,7 +976,7 @@ pub fn run_shared_table_ablation_with(
     frames: u64,
     runner: &RunnerConfig,
 ) -> AblationResult {
-    let prep = shared_ablation_prepare(seed, frames);
+    let prep = football_prepare(seed, frames);
     let mut batch = ExperimentBatch::new();
     batch.expand_cells(SHARED_LABELS, &[seed], &[frames], |label, seed, frames| {
         shared_ablation_cell(label, &prep, seed, frames)
@@ -877,13 +986,6 @@ pub fn run_shared_table_ablation_with(
 
 /// The shared-table ablation's cells, Oracle first.
 pub(crate) const SHARED_LABELS: &[&str] = &["oracle", "cluster", "per-core-share", "geqiu"];
-
-/// Records the shared-table ablation's per-seed workload.
-pub(crate) fn shared_ablation_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = VideoDecoderModel::h264_football_15fps(seed).with_frames(frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
-}
 
 /// Runs one shared-table formulation cell.
 pub(crate) fn shared_ablation_cell(
@@ -927,8 +1029,9 @@ pub(crate) fn shared_ablation_assemble(mut cells: Vec<AblationCell>) -> Ablation
     ];
     let rows: Vec<AblationRow> = labels
         .iter()
+        .zip(&SHARED_LABELS[1..])
         .zip(&cells)
-        .map(|(label, cell)| ablation_row((*label).into(), cell, &oracle))
+        .map(|((label, key), cell)| ablation_row((*label).into(), key, cell, &oracle))
         .collect();
     let table = ablation_table(&rows, "Formulation");
     AblationResult { rows, table }
@@ -1000,17 +1103,41 @@ pub struct LongHorizonResult {
     pub shard_count: usize,
 }
 
-/// **Long horizon** — the Q-learning governor versus the Linux
-/// ondemand and conservative heuristics over a horizon streamed from
-/// disk ([`ShardedTrace`]), with the execution policy read from
-/// `QGOV_WORKERS`. Designed for ≥ 100k frames: the trace never
-/// materialises in memory.
-#[must_use]
-pub fn run_long_horizon(seed: u64, frames: u64) -> LongHorizonResult {
-    run_long_horizon_with(seed, frames, &RunnerConfig::from_env())
+impl LongHorizonResult {
+    /// The whole-run figures as campaign metrics: `normalized_energy`,
+    /// `normalized_performance`, `miss_rate`, `mean_opp`,
+    /// `energy_joules`, `early_miss_rate`, `late_miss_rate` and, when
+    /// monitored, `monitor_violations`, keyed by methodology
+    /// (`…/ondemand`).
+    #[must_use]
+    pub fn metrics(&self) -> CellMetrics {
+        let mut out = CellMetrics::new();
+        for (label, row) in LONG_HORIZON_LABELS.iter().zip(&self.rows) {
+            out.push((format!("normalized_energy/{label}"), row.normalized_energy));
+            out.push((
+                format!("normalized_performance/{label}"),
+                row.normalized_performance,
+            ));
+            out.push((format!("miss_rate/{label}"), row.miss_rate));
+            out.push((format!("mean_opp/{label}"), row.mean_opp));
+            out.push((format!("energy_joules/{label}"), row.energy_joules));
+            out.push((format!("early_miss_rate/{label}"), row.early_miss_rate));
+            out.push((format!("late_miss_rate/{label}"), row.late_miss_rate));
+            if let Some(monitor) = &row.monitor {
+                out.push((
+                    format!("monitor_violations/{label}"),
+                    monitor.violation_count() as f64,
+                ));
+            }
+        }
+        out
+    }
 }
 
-/// **Long horizon** under an explicit [`RunnerConfig`].
+/// **Long horizon** — the Q-learning governor versus the Linux
+/// ondemand and conservative heuristics over a horizon streamed from
+/// disk ([`ShardedTrace`]), under an explicit [`RunnerConfig`].
+/// Designed for ≥ 100k frames: the trace never materialises in memory.
 ///
 /// The workload (the H.264 football model looped to `frames` frames)
 /// is recorded once into CSV shards on disk; every methodology cell
@@ -1029,24 +1156,7 @@ pub fn run_long_horizon(seed: u64, frames: u64) -> LongHorizonResult {
 /// experiment without disk is meaningless.
 #[must_use]
 pub fn run_long_horizon_with(seed: u64, frames: u64, runner: &RunnerConfig) -> LongHorizonResult {
-    let prep = long_horizon_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(
-        LONG_HORIZON_LABELS,
-        &[seed],
-        &[frames],
-        |label, seed, frames| long_horizon_cell(label, &prep, seed, frames),
-    );
-    let reports = batch.run(runner);
-    long_horizon_assemble(&prep, frames, reports)
-}
-
-/// **Long horizon** with the [standard property pack](standard_pack)
-/// riding along every methodology cell, with the execution policy read
-/// from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_long_horizon_monitored(seed: u64, frames: u64, pack: &PackConfig) -> LongHorizonResult {
-    run_long_horizon_monitored_with(seed, frames, &RunnerConfig::from_env(), pack)
+    long_horizon(seed, frames, runner, None)
 }
 
 /// [`run_long_horizon_with`] with the standard property pack attached
@@ -1062,13 +1172,23 @@ pub fn run_long_horizon_monitored_with(
     runner: &RunnerConfig,
     pack: &PackConfig,
 ) -> LongHorizonResult {
+    long_horizon(seed, frames, runner, Some(pack))
+}
+
+/// The long-horizon grid for one seed, optionally monitored.
+fn long_horizon(
+    seed: u64,
+    frames: u64,
+    runner: &RunnerConfig,
+    pack: Option<&PackConfig>,
+) -> LongHorizonResult {
     let prep = long_horizon_prepare(seed, frames);
     let mut batch = ExperimentBatch::new();
     batch.expand_cells(
         LONG_HORIZON_LABELS,
         &[seed],
         &[frames],
-        |label, seed, frames| long_horizon_cell_with(label, &prep, seed, frames, Some(pack)),
+        |label, seed, frames| long_horizon_cell(label, &prep, seed, frames, pack),
     );
     let reports = batch.run(runner);
     long_horizon_assemble(&prep, frames, reports)
@@ -1120,19 +1240,9 @@ pub(crate) fn long_horizon_prepare(seed: u64, frames: u64) -> LongHorizonPrep {
 }
 
 /// Runs one long-horizon methodology cell on its own streamed replay
-/// clone.
+/// clone, with an optional standard property pack attached (the pack is
+/// built per cell, keyed by the governor label).
 pub(crate) fn long_horizon_cell(
-    label: &str,
-    prep: &LongHorizonPrep,
-    seed: u64,
-    frames: u64,
-) -> RunReport {
-    long_horizon_cell_with(label, prep, seed, frames, None)
-}
-
-/// [`long_horizon_cell`] with an optional standard property pack
-/// attached (the pack is built per cell, keyed by the governor label).
-pub(crate) fn long_horizon_cell_with(
     label: &str,
     prep: &LongHorizonPrep,
     seed: u64,

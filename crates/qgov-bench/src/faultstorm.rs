@@ -37,9 +37,9 @@
 //! naive RTM's recovery property is violated.
 
 use crate::experiments::TracePrep;
-use crate::harness::precharacterize;
 use crate::manycore::run_manycore_experiment_faulted_monitored;
 use crate::runner::{ExperimentBatch, RunnerConfig};
+use crate::worklist::{slug, CellMetrics};
 use qgov_core::{HardeningConfig, ManyCoreRtm, RtmConfig, RtmGovernor};
 use qgov_governors::{Governor, ManyCoreGovernor, OndemandGovernor, PerClusterGovernors};
 use qgov_metrics::{
@@ -135,9 +135,7 @@ pub fn fault_storm_app(seed: u64, frames: u64) -> SyntheticWorkload {
 
 /// Records the fault-storm workload for one seed.
 pub(crate) fn faultstorm_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = fault_storm_app(seed, frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
+    TracePrep::record(&mut fault_storm_app(seed, frames))
 }
 
 /// One coordinator's run through the storm, as raw data (batch-cell
@@ -260,6 +258,48 @@ pub struct FaultStormResult {
     pub table: ComparisonTable,
 }
 
+impl FaultStormResult {
+    /// The result as campaign metrics: `energy_joules`, `miss_rate`,
+    /// `post_drop_miss_rate`, `degraded_epochs`, `safe_state_epochs`,
+    /// `worst_excursion`, and where reported `time_to_recover` and
+    /// `monitor_violations`, keyed by coordinator (`…/rtm_hardened`).
+    #[must_use]
+    pub fn metrics(&self) -> CellMetrics {
+        let mut out = CellMetrics::new();
+        for (label, row) in FAULTSTORM_LABELS.iter().zip(&self.rows) {
+            let key = slug(label);
+            out.push((format!("energy_joules/{key}"), row.energy_joules));
+            out.push((format!("miss_rate/{key}"), row.miss_rate));
+            out.push((
+                format!("post_drop_miss_rate/{key}"),
+                row.post_drop_miss_rate,
+            ));
+            out.push((
+                format!("degraded_epochs/{key}"),
+                row.recovery.degraded_epochs as f64,
+            ));
+            out.push((
+                format!("safe_state_epochs/{key}"),
+                row.safe_state_epochs as f64,
+            ));
+            out.push((
+                format!("worst_excursion/{key}"),
+                row.recovery.worst_excursion,
+            ));
+            if let Some(epochs) = row.recovery.time_to_recover {
+                out.push((format!("time_to_recover/{key}"), epochs as f64));
+            }
+            if let Some(monitor) = &row.monitor {
+                out.push((
+                    format!("monitor_violations/{key}"),
+                    monitor.violation_count() as f64,
+                ));
+            }
+        }
+        out
+    }
+}
+
 /// Folds the fault-storm cells (in [`FAULTSTORM_LABELS`] order) into
 /// the result bundle.
 pub(crate) fn faultstorm_assemble(frames: u64, cells: Vec<FaultStormCell>) -> FaultStormResult {
@@ -319,18 +359,6 @@ pub(crate) fn faultstorm_assemble(frames: u64, cells: Vec<FaultStormCell>) -> Fa
         drop_epoch: drop,
         table,
     }
-}
-
-/// **Fault storm** with the schedule read from `QGOV_FAULTS` and the
-/// execution policy from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_fault_storm(seed: u64, frames: u64) -> FaultStormResult {
-    run_fault_storm_with(
-        seed,
-        frames,
-        &fault_plan_from_env(frames),
-        &RunnerConfig::from_env(),
-    )
 }
 
 /// **Fault storm** under an explicit plan and [`RunnerConfig`]: all

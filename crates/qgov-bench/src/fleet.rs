@@ -26,6 +26,7 @@
 
 use crate::harness::FlatRun;
 use crate::runner::{ExperimentBatch, RunnerConfig, RunnerMode};
+use crate::worklist::CellMetrics;
 use qgov_core::{RtmConfig, RtmGovernor};
 use qgov_metrics::{MetricSummary, RunReport};
 use qgov_sim::{FaultPlan, Platform, PlatformConfig};
@@ -141,6 +142,33 @@ impl FleetOutcome {
     pub fn summarize(&self, metric: impl Fn(&RunReport) -> f64) -> MetricSummary {
         let samples: Vec<f64> = self.reports.iter().map(metric).collect();
         MetricSummary::from_samples(&samples)
+    }
+
+    /// The outcome as campaign metrics: per instance `miss_rate`,
+    /// `normalized_performance`, `mean_opp` and `energy_joules`
+    /// (`…/i0`, `…/i1`, …), then the fleet-wide `fleet_mean_miss_rate`
+    /// and `fleet_total_frames`.
+    #[must_use]
+    pub fn metrics(&self) -> CellMetrics {
+        let mut out = CellMetrics::new();
+        for (i, report) in self.reports.iter().enumerate() {
+            out.push((format!("miss_rate/i{i}"), report.miss_rate()));
+            out.push((
+                format!("normalized_performance/i{i}"),
+                report.normalized_performance(),
+            ));
+            out.push((format!("mean_opp/i{i}"), report.mean_opp()));
+            out.push((
+                format!("energy_joules/i{i}"),
+                report.total_energy().as_joules(),
+            ));
+        }
+        out.push((
+            "fleet_mean_miss_rate".into(),
+            self.summarize(RunReport::miss_rate).mean,
+        ));
+        out.push(("fleet_total_frames".into(), self.total_frames as f64));
+        out
     }
 }
 

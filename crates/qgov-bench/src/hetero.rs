@@ -8,34 +8,31 @@
 //! big.LITTLE part, and a weak-scaling study on synthetic homogeneous
 //! meshes.
 //!
-//! * [`run_biglittle`] — a scaled H.264 decode (too heavy for the A7
+//! * [`run_biglittle_with`] — a scaled H.264 decode (too heavy for the A7
 //!   quad alone, comfortably feasible on the A15 quad) under three
 //!   placements: everything on big, everything on LITTLE, and the
 //!   learned migrating placement. The headline: learned migration
 //!   matches big-only's deadline behaviour at lower energy, because
 //!   steady frames drift to the LITTLE cores.
-//! * [`run_mesh_scaling`] — one [`ManyCoreRtm`] across 4/8/16
+//! * [`run_mesh_scaling_with`] — one [`ManyCoreRtm`] across 4/8/16
 //!   identical clusters with a workload scaled to the cluster count:
 //!   per-cluster energy should stay flat as the chip grows (weak
 //!   scaling of the per-cluster learning loop).
 //!
-//! Both have `*_with` (explicit [`RunnerConfig`]) and `*_sweep`
-//! (multi-seed [`SeedSweep`]) variants like every experiment in
-//! [`crate::experiments`]; recorded baselines live in `EXPERIMENTS.md`.
+//! Both take an explicit [`RunnerConfig`] and have `*_monitored_with`
+//! variants like the experiments in [`crate::experiments`], and sweep
+//! across seeds through [`crate::sweep`]; recorded baselines live in
+//! `EXPERIMENTS.md`.
 
 use crate::experiments::TracePrep;
-use crate::harness::precharacterize;
 use crate::manycore::{
     run_manycore_experiment, run_manycore_experiment_monitored, ManyCoreOutcome,
 };
 use crate::runner::{ExperimentBatch, RunnerConfig};
-use crate::sweep::{Aggregate, SeedSweep};
+use crate::worklist::{slug, CellMetrics};
 use qgov_core::{ManyCoreRtm, RtmConfig, RtmGovernor};
 use qgov_governors::{Governor, ManyCoreGovernor, PerClusterGovernors, PowersaveGovernor};
-use qgov_metrics::{
-    standard_pack, ComparisonTable, MetricSummary, MonitorReport, PackConfig, RunReport,
-    SweepFormat, SweepTable,
-};
+use qgov_metrics::{standard_pack, ComparisonTable, MonitorReport, PackConfig, RunReport};
 use qgov_sim::{ClusterConfig, PlatformConfig, Topology};
 use qgov_units::{Cycles, SimTime};
 use qgov_workloads::{capacity_shares, Application, SyntheticWorkload, VideoDecoderModel};
@@ -113,24 +110,13 @@ pub fn biglittle_app(seed: u64, frames: u64) -> VideoDecoderModel {
 
 /// Records the big.LITTLE workload for one seed.
 pub(crate) fn biglittle_prepare(seed: u64, frames: u64) -> TracePrep {
-    let mut app = biglittle_app(seed, frames);
-    let (trace, bounds) = precharacterize(&mut app);
-    TracePrep { trace, bounds }
+    TracePrep::record(&mut biglittle_app(seed, frames))
 }
 
-/// Runs one big.LITTLE placement cell against the prepared trace.
+/// Runs one big.LITTLE placement cell against the prepared trace, with
+/// the standard temporal property pack optionally monitoring the
+/// chip-level epoch stream.
 pub(crate) fn biglittle_cell(
-    label: &str,
-    prep: &TracePrep,
-    seed: u64,
-    frames: u64,
-) -> ManyCoreCell {
-    biglittle_cell_with(label, prep, seed, frames, None)
-}
-
-/// [`biglittle_cell`] with the standard temporal property pack
-/// optionally monitoring the chip-level epoch stream.
-pub(crate) fn biglittle_cell_with(
     label: &str,
     prep: &TracePrep,
     seed: u64,
@@ -148,37 +134,20 @@ pub(crate) fn biglittle_cell_with(
         )
     };
     match label {
-        "big-only" => {
-            let mut gov = PerClusterGovernors::new(
-                "big-only",
-                vec![rtm(seed), Box::new(PowersaveGovernor::new())],
-            );
+        "big-only" | "little-only" => {
+            let idle: Box<dyn Governor> = Box::new(PowersaveGovernor::new());
+            let (agents, shares) = if label == "big-only" {
+                (vec![rtm(seed), idle], [1.0, 0.0])
+            } else {
+                (vec![idle, rtm(seed)], [0.0, 1.0])
+            };
+            let mut gov = PerClusterGovernors::new(label, agents);
             let out = run_cell(
                 &mut gov,
                 &mut replay,
                 topology,
                 frames,
-                &[1.0, 0.0],
-                label,
-                pack,
-            );
-            ManyCoreCell {
-                report: out.report,
-                migrations: 0,
-                shares: out.shares,
-            }
-        }
-        "little-only" => {
-            let mut gov = PerClusterGovernors::new(
-                "little-only",
-                vec![Box::new(PowersaveGovernor::new()), rtm(seed)],
-            );
-            let out = run_cell(
-                &mut gov,
-                &mut replay,
-                topology,
-                frames,
-                &[0.0, 1.0],
+                &shares,
                 label,
                 pack,
             );
@@ -233,7 +202,7 @@ pub struct BigLittleRow {
     /// Final share of the work on the big cluster.
     pub final_big_share: f64,
     /// Temporal-property verdicts when the run was monitored
-    /// ([`run_biglittle_monitored`]); `None` otherwise.
+    /// ([`run_biglittle_monitored_with`]); `None` otherwise.
     pub monitor: Option<MonitorReport>,
 }
 
@@ -244,6 +213,30 @@ pub struct BigLittleResult {
     pub rows: Vec<BigLittleRow>,
     /// Rendered comparison table.
     pub table: ComparisonTable,
+}
+
+impl BigLittleResult {
+    /// The result as campaign metrics: `normalized_energy`,
+    /// `miss_rate`, `energy_joules`, `energy_per_met_frame`,
+    /// `migrations` and `final_big_share`, keyed by placement
+    /// (`…/rtm_migrate`).
+    #[must_use]
+    pub fn metrics(&self) -> CellMetrics {
+        let mut out = CellMetrics::new();
+        for (label, row) in BIGLITTLE_LABELS.iter().zip(&self.rows) {
+            let key = slug(label);
+            out.push((format!("normalized_energy/{key}"), row.normalized_energy));
+            out.push((format!("miss_rate/{key}"), row.miss_rate));
+            out.push((format!("energy_joules/{key}"), row.energy_joules));
+            out.push((
+                format!("energy_per_met_frame/{key}"),
+                row.energy_per_met_frame,
+            ));
+            out.push((format!("migrations/{key}"), row.migrations as f64));
+            out.push((format!("final_big_share/{key}"), row.final_big_share));
+        }
+        out
+    }
 }
 
 fn placement_label(name: &str) -> String {
@@ -300,39 +293,17 @@ pub(crate) fn biglittle_assemble(cells: Vec<ManyCoreCell>) -> BigLittleResult {
     BigLittleResult { rows, table }
 }
 
-/// **big.LITTLE placement** with the execution policy read from
-/// `QGOV_WORKERS`.
-#[must_use]
-pub fn run_biglittle(seed: u64, frames: u64) -> BigLittleResult {
-    run_biglittle_with(seed, frames, &RunnerConfig::from_env())
-}
-
 /// **big.LITTLE placement** under an explicit [`RunnerConfig`]: all
 /// three placements replay the identical recorded trace on the same
 /// two-cluster topology; energy is normalised to the big-only run.
 #[must_use]
 pub fn run_biglittle_with(seed: u64, frames: u64, runner: &RunnerConfig) -> BigLittleResult {
-    let prep = biglittle_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(
-        BIGLITTLE_LABELS,
-        &[seed],
-        &[frames],
-        |label, seed, frames| biglittle_cell(label, &prep, seed, frames),
-    );
-    biglittle_assemble(batch.run(runner))
+    biglittle(seed, frames, runner, None)
 }
 
 /// **big.LITTLE placement** with the standard temporal property pack
 /// monitoring every placement's chip-level epoch stream; verdicts land
-/// on each row's [`monitor`](BigLittleRow::monitor) field. Execution
-/// policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_biglittle_monitored(seed: u64, frames: u64, pack: &PackConfig) -> BigLittleResult {
-    run_biglittle_monitored_with(seed, frames, &RunnerConfig::from_env(), pack)
-}
-
-/// [`run_biglittle_monitored`] under an explicit [`RunnerConfig`].
+/// on each row's [`monitor`](BigLittleRow::monitor) field.
 #[must_use]
 pub fn run_biglittle_monitored_with(
     seed: u64,
@@ -340,128 +311,25 @@ pub fn run_biglittle_monitored_with(
     runner: &RunnerConfig,
     pack: &PackConfig,
 ) -> BigLittleResult {
+    biglittle(seed, frames, runner, Some(pack))
+}
+
+/// The big.LITTLE grid for one seed, optionally monitored.
+fn biglittle(
+    seed: u64,
+    frames: u64,
+    runner: &RunnerConfig,
+    pack: Option<&PackConfig>,
+) -> BigLittleResult {
     let prep = biglittle_prepare(seed, frames);
     let mut batch = ExperimentBatch::new();
     batch.expand_cells(
         BIGLITTLE_LABELS,
         &[seed],
         &[frames],
-        |label, seed, frames| biglittle_cell_with(label, &prep, seed, frames, Some(pack)),
+        |label, seed, frames| biglittle_cell(label, &prep, seed, frames, pack),
     );
     biglittle_assemble(batch.run(runner))
-}
-
-/// One placement's cross-seed aggregates in the big.LITTLE sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BigLittleSweepRow {
-    /// Placement label.
-    pub placement: String,
-    /// Absolute chip energy in joules.
-    pub energy_joules: MetricSummary,
-    /// Energy normalised to the same-seed big-only run.
-    pub normalized_energy: MetricSummary,
-    /// Deadline miss rate.
-    pub miss_rate: MetricSummary,
-    /// Joules per deadline-met frame.
-    pub energy_per_met_frame: MetricSummary,
-    /// Share moves performed by the coordinator.
-    pub migrations: MetricSummary,
-}
-
-/// The big.LITTLE sweep bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BigLittleSweep {
-    /// The seeds aggregated, in sweep order.
-    pub seeds: Vec<u64>,
-    /// One aggregate row per placement.
-    pub rows: Vec<BigLittleSweepRow>,
-    /// Rendered `mean ± σ (n)` table.
-    pub table: SweepTable,
-    /// The underlying single-seed results, in sweep order.
-    pub per_seed: Vec<BigLittleResult>,
-}
-
-/// **big.LITTLE placement** across a seed sweep, with the execution
-/// policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_biglittle_sweep(sweep: &SeedSweep, frames: u64) -> BigLittleSweep {
-    run_biglittle_sweep_with(sweep, frames, &RunnerConfig::from_env())
-}
-
-/// **big.LITTLE placement** across a seed sweep under an explicit
-/// [`RunnerConfig`]; the seed × placement grid runs as one flattened
-/// job queue.
-#[must_use]
-pub fn run_biglittle_sweep_with(
-    sweep: &SeedSweep,
-    frames: u64,
-    runner: &RunnerConfig,
-) -> BigLittleSweep {
-    let agg = Aggregate::collect_grid(
-        BIGLITTLE_LABELS,
-        sweep,
-        frames,
-        runner,
-        biglittle_prepare,
-        biglittle_cell,
-        |_seed, _prep, cells| biglittle_assemble(cells),
-    );
-
-    let placements: Vec<String> = agg.results()[0]
-        .rows
-        .iter()
-        .map(|r| r.placement.clone())
-        .collect();
-    let rows: Vec<BigLittleSweepRow> = placements
-        .iter()
-        .enumerate()
-        .map(|(i, placement)| {
-            debug_assert!(
-                agg.results()
-                    .iter()
-                    .all(|r| r.rows[i].placement == *placement),
-                "placement order must not depend on the seed"
-            );
-            BigLittleSweepRow {
-                placement: placement.clone(),
-                energy_joules: agg.summarize(|r| r.rows[i].energy_joules),
-                normalized_energy: agg.summarize(|r| r.rows[i].normalized_energy),
-                miss_rate: agg.summarize(|r| r.rows[i].miss_rate),
-                energy_per_met_frame: agg.summarize(|r| r.rows[i].energy_per_met_frame),
-                migrations: agg.summarize(|r| r.rows[i].migrations as f64),
-            }
-        })
-        .collect();
-
-    let mut table = SweepTable::new(
-        "Placement",
-        vec![
-            ("Energy (J)", SweepFormat::Fixed(1)),
-            ("Normalized energy", SweepFormat::Fixed(2)),
-            ("Miss rate", SweepFormat::Percent(1)),
-            ("J / met frame", SweepFormat::Fixed(3)),
-            ("Migrations", SweepFormat::Fixed(1)),
-        ],
-    );
-    for row in &rows {
-        table.add_row(
-            row.placement.clone(),
-            vec![
-                row.energy_joules,
-                row.normalized_energy,
-                row.miss_rate,
-                row.energy_per_met_frame,
-                row.migrations,
-            ],
-        );
-    }
-    let (seeds, per_seed) = agg.into_parts();
-    BigLittleSweep {
-        seeds,
-        rows,
-        table,
-        per_seed,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -502,23 +370,14 @@ pub fn mesh_app(clusters: usize, seed: u64, frames: u64) -> SyntheticWorkload {
 pub(crate) fn mesh_prepare(seed: u64, frames: u64) -> Vec<TracePrep> {
     MESH_LABELS
         .iter()
-        .map(|label| {
-            let mut app = mesh_app(mesh_size(label), seed, frames);
-            let (trace, bounds) = precharacterize(&mut app);
-            TracePrep { trace, bounds }
-        })
+        .map(|label| TracePrep::record(&mut mesh_app(mesh_size(label), seed, frames)))
         .collect()
 }
 
 /// Runs one mesh-size cell: [`ManyCoreRtm`] on a homogeneous mesh with
-/// an initially uniform placement.
-pub(crate) fn mesh_cell(label: &str, preps: &[TracePrep], seed: u64, frames: u64) -> ManyCoreCell {
-    mesh_cell_with(label, preps, seed, frames, None)
-}
-
-/// [`mesh_cell`] with the standard temporal property pack optionally
-/// monitoring the chip-level epoch stream.
-pub(crate) fn mesh_cell_with(
+/// an initially uniform placement, with the standard temporal property
+/// pack optionally monitoring the chip-level epoch stream.
+pub(crate) fn mesh_cell(
     label: &str,
     preps: &[TracePrep],
     seed: u64,
@@ -568,7 +427,7 @@ pub struct MeshRow {
     /// Share moves performed by the coordinator.
     pub migrations: u64,
     /// Temporal-property verdicts when the run was monitored
-    /// ([`run_mesh_scaling_monitored`]); `None` otherwise.
+    /// ([`run_mesh_scaling_monitored_with`]); `None` otherwise.
     pub monitor: Option<MonitorReport>,
 }
 
@@ -579,6 +438,24 @@ pub struct MeshScalingResult {
     pub rows: Vec<MeshRow>,
     /// Rendered comparison table.
     pub table: ComparisonTable,
+}
+
+impl MeshScalingResult {
+    /// The result as campaign metrics: `energy_joules`,
+    /// `energy_per_cluster`, `miss_rate` and `migrations`, keyed by
+    /// mesh size (`…/mesh_16`).
+    #[must_use]
+    pub fn metrics(&self) -> CellMetrics {
+        let mut out = CellMetrics::new();
+        for (label, row) in MESH_LABELS.iter().zip(&self.rows) {
+            let key = slug(label);
+            out.push((format!("energy_joules/{key}"), row.energy_joules));
+            out.push((format!("energy_per_cluster/{key}"), row.energy_per_cluster));
+            out.push((format!("miss_rate/{key}"), row.miss_rate));
+            out.push((format!("migrations/{key}"), row.migrations as f64));
+        }
+        out
+    }
 }
 
 /// Folds the mesh cells (in [`MESH_LABELS`] order) into the result
@@ -623,36 +500,17 @@ pub(crate) fn mesh_assemble(cells: Vec<ManyCoreCell>) -> MeshScalingResult {
     MeshScalingResult { rows, table }
 }
 
-/// **Mesh weak scaling** with the execution policy read from
-/// `QGOV_WORKERS`.
-#[must_use]
-pub fn run_mesh_scaling(seed: u64, frames: u64) -> MeshScalingResult {
-    run_mesh_scaling_with(seed, frames, &RunnerConfig::from_env())
-}
-
 /// **Mesh weak scaling** under an explicit [`RunnerConfig`]: one
 /// [`ManyCoreRtm`] per mesh size against a workload scaled to the
 /// cluster count, each size an independent batch cell.
 #[must_use]
 pub fn run_mesh_scaling_with(seed: u64, frames: u64, runner: &RunnerConfig) -> MeshScalingResult {
-    let preps = mesh_prepare(seed, frames);
-    let mut batch = ExperimentBatch::new();
-    batch.expand_cells(MESH_LABELS, &[seed], &[frames], |label, seed, frames| {
-        mesh_cell(label, &preps, seed, frames)
-    });
-    mesh_assemble(batch.run(runner))
+    mesh_scaling(seed, frames, runner, None)
 }
 
 /// **Mesh weak scaling** with the standard temporal property pack
 /// monitoring every mesh size's chip-level epoch stream; verdicts land
-/// on each row's [`monitor`](MeshRow::monitor) field. Execution policy
-/// read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_mesh_scaling_monitored(seed: u64, frames: u64, pack: &PackConfig) -> MeshScalingResult {
-    run_mesh_scaling_monitored_with(seed, frames, &RunnerConfig::from_env(), pack)
-}
-
-/// [`run_mesh_scaling_monitored`] under an explicit [`RunnerConfig`].
+/// on each row's [`monitor`](MeshRow::monitor) field.
 #[must_use]
 pub fn run_mesh_scaling_monitored_with(
     seed: u64,
@@ -660,107 +518,22 @@ pub fn run_mesh_scaling_monitored_with(
     runner: &RunnerConfig,
     pack: &PackConfig,
 ) -> MeshScalingResult {
+    mesh_scaling(seed, frames, runner, Some(pack))
+}
+
+/// The mesh-scaling grid for one seed, optionally monitored.
+fn mesh_scaling(
+    seed: u64,
+    frames: u64,
+    runner: &RunnerConfig,
+    pack: Option<&PackConfig>,
+) -> MeshScalingResult {
     let preps = mesh_prepare(seed, frames);
     let mut batch = ExperimentBatch::new();
     batch.expand_cells(MESH_LABELS, &[seed], &[frames], |label, seed, frames| {
-        mesh_cell_with(label, &preps, seed, frames, Some(pack))
+        mesh_cell(label, &preps, seed, frames, pack)
     });
     mesh_assemble(batch.run(runner))
-}
-
-/// One mesh size's cross-seed aggregates in the scaling sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeshSweepRow {
-    /// Number of clusters.
-    pub clusters: usize,
-    /// Absolute chip energy in joules.
-    pub energy_joules: MetricSummary,
-    /// Chip energy divided by the cluster count.
-    pub energy_per_cluster: MetricSummary,
-    /// Deadline miss rate.
-    pub miss_rate: MetricSummary,
-    /// Share moves performed by the coordinator.
-    pub migrations: MetricSummary,
-}
-
-/// The mesh scaling sweep bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeshSweep {
-    /// The seeds aggregated, in sweep order.
-    pub seeds: Vec<u64>,
-    /// One aggregate row per mesh size.
-    pub rows: Vec<MeshSweepRow>,
-    /// Rendered `mean ± σ (n)` table.
-    pub table: SweepTable,
-    /// The underlying single-seed results, in sweep order.
-    pub per_seed: Vec<MeshScalingResult>,
-}
-
-/// **Mesh weak scaling** across a seed sweep, with the execution
-/// policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_mesh_scaling_sweep(sweep: &SeedSweep, frames: u64) -> MeshSweep {
-    run_mesh_scaling_sweep_with(sweep, frames, &RunnerConfig::from_env())
-}
-
-/// **Mesh weak scaling** across a seed sweep under an explicit
-/// [`RunnerConfig`]; the seed × mesh-size grid runs as one flattened
-/// job queue.
-#[must_use]
-pub fn run_mesh_scaling_sweep_with(
-    sweep: &SeedSweep,
-    frames: u64,
-    runner: &RunnerConfig,
-) -> MeshSweep {
-    let agg = Aggregate::collect_grid(
-        MESH_LABELS,
-        sweep,
-        frames,
-        runner,
-        mesh_prepare,
-        |label, preps, seed, frames| mesh_cell(label, preps, seed, frames),
-        |_seed, _prep, cells| mesh_assemble(cells),
-    );
-
-    let rows: Vec<MeshSweepRow> = MESH_LABELS
-        .iter()
-        .enumerate()
-        .map(|(i, label)| MeshSweepRow {
-            clusters: mesh_size(label),
-            energy_joules: agg.summarize(|r| r.rows[i].energy_joules),
-            energy_per_cluster: agg.summarize(|r| r.rows[i].energy_per_cluster),
-            miss_rate: agg.summarize(|r| r.rows[i].miss_rate),
-            migrations: agg.summarize(|r| r.rows[i].migrations as f64),
-        })
-        .collect();
-
-    let mut table = SweepTable::new(
-        "Mesh",
-        vec![
-            ("Energy (J)", SweepFormat::Fixed(1)),
-            ("J / cluster", SweepFormat::Fixed(1)),
-            ("Miss rate", SweepFormat::Percent(1)),
-            ("Migrations", SweepFormat::Fixed(1)),
-        ],
-    );
-    for row in &rows {
-        table.add_row(
-            format!("{} clusters", row.clusters),
-            vec![
-                row.energy_joules,
-                row.energy_per_cluster,
-                row.miss_rate,
-                row.migrations,
-            ],
-        );
-    }
-    let (seeds, per_seed) = agg.into_parts();
-    MeshSweep {
-        seeds,
-        rows,
-        table,
-        per_seed,
-    }
 }
 
 #[cfg(test)]
@@ -789,16 +562,21 @@ mod tests {
 
     #[test]
     fn biglittle_sweep_aggregates_each_placement() {
-        let sweep = SeedSweep::base(1, 2);
-        let result = run_biglittle_sweep_with(&sweep, 60, &RunnerConfig::serial());
-        assert_eq!(result.rows.len(), 3);
-        assert_eq!(result.per_seed.len(), 2);
-        for row in &result.rows {
-            assert_eq!(row.energy_joules.n, 2);
-        }
+        let sweep = crate::sweep::SeedSweep::base(1, 2);
+        let cells = crate::sweep::sweep_metrics(
+            crate::worklist::Family::BigLittle,
+            &sweep,
+            60,
+            None,
+            &RunnerConfig::serial(),
+        );
+        let summaries = qgov_metrics::fold_by_name(&cells);
+        assert_eq!(summaries.len(), 3 * 6);
+        assert!(summaries.iter().all(|(_, s)| s.n == 2));
         // big-only is the per-seed reference: exactly 1.0, zero spread.
-        assert_eq!(result.rows[0].normalized_energy.mean, 1.0);
-        assert_eq!(result.rows[0].normalized_energy.std_dev, 0.0);
+        let (name, big) = &summaries[0];
+        assert_eq!(name, "normalized_energy/big_only");
+        assert_eq!((big.mean, big.std_dev), (1.0, 0.0));
     }
 
     #[test]

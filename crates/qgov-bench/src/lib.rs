@@ -18,7 +18,7 @@
 //! | N-levels ablation | [`experiments::run_state_levels_ablation`] | `ablation_state_levels` |
 //! | EWMA-γ ablation | [`experiments::run_smoothing_ablation`] | `ablation_smoothing` |
 //! | Shared-table ablation | [`experiments::run_shared_table_ablation`] | `ablation_shared_table` |
-//! | Long horizon (beyond the paper) | [`experiments::run_long_horizon`] | `long_horizon` |
+//! | Long horizon (beyond the paper) | [`experiments::run_long_horizon_with`] | `long_horizon` |
 //!
 //! The long-horizon experiment goes beyond the paper's ~3000-frame
 //! clips: it streams its workload from CSV shards on disk
@@ -50,21 +50,31 @@
 //! assert_eq!(run_table1(7, 60).rows.len(), 4);
 //! ```
 //!
-//! # Multi-seed sweeps
+//! # Multi-seed sweeps and campaigns
 //!
-//! Exploration is stochastic in the seed, so every experiment also has
-//! a `*_sweep` variant ([`sweep`]) that fans the run across a
-//! [`sweep::SeedSweep`] and folds each metric into
-//! `mean ± σ (n)` aggregates with 95 % confidence intervals. The bench
-//! targets read the seed set from `QGOV_SEEDS` (default: one seed,
-//! preserving the single-run baselines in `EXPERIMENTS.md`).
+//! Every result type reduces to one flat list of named metrics
+//! ([`worklist::CellMetrics`], e.g. [`experiments::Table1Result::metrics`]),
+//! and that list is the only output of an experiment family: a
+//! campaign cell ([`worklist::WorkList::run_cell`]) journals it for one
+//! seed, and a seed sweep ([`sweep::sweep_metrics`]) runs it for every
+//! seed of a [`sweep::SeedSweep`] through one flattened job queue.
+//! Exploration is stochastic in the seed, so the bench targets fold
+//! the per-seed lists by metric name ([`qgov_metrics::fold_by_name`],
+//! the same fold `qgov report` uses) into `mean ± σ (n)` aggregates and
+//! render them with [`sweep::sweep_table`]. They read the seed set
+//! from `QGOV_SEEDS` (default: one seed, preserving the single-run
+//! baselines in `EXPERIMENTS.md`).
 //!
 //! ```
 //! use qgov_bench::runner::RunnerConfig;
-//! use qgov_bench::sweep::{run_table3_sweep_with, SeedSweep};
+//! use qgov_bench::sweep::{sweep_metrics, SeedSweep};
+//! use qgov_bench::worklist::Family;
+//! use qgov_metrics::fold_by_name;
 //!
-//! let result = run_table3_sweep_with(&SeedSweep::base(1, 2), 80, &RunnerConfig::serial());
-//! assert_eq!(result.rows[0].exploration_epochs.n, 2);
+//! let cells = sweep_metrics(Family::Table3, &SeedSweep::base(1, 2), 80, None, &RunnerConfig::serial());
+//! let summaries = fold_by_name(&cells);
+//! assert_eq!(summaries[0].0, "exploration_epochs/geqiu");
+//! assert_eq!(summaries[0].1.n, 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -82,9 +92,8 @@ pub mod sweep;
 pub mod worklist;
 
 pub use faultstorm::{
-    fault_plan_from_env, fault_storm_app, fault_storm_drop_epoch, run_fault_storm,
-    run_fault_storm_with, standard_fault_schedule, FaultStormResult, FaultStormRow,
-    FAULTSTORM_GRACE,
+    fault_plan_from_env, fault_storm_app, fault_storm_drop_epoch, run_fault_storm_with,
+    standard_fault_schedule, FaultStormResult, FaultStormRow, FAULTSTORM_GRACE,
 };
 pub use fleet::{
     fleet_size_from_env, run_fleet, FleetEngine, FleetInstance, FleetOutcome, FleetSpec,
@@ -94,11 +103,8 @@ pub use harness::{
     run_experiment_monitored, ExperimentOutcome,
 };
 pub use hetero::{
-    run_biglittle, run_biglittle_monitored, run_biglittle_monitored_with, run_biglittle_sweep,
-    run_biglittle_sweep_with, run_biglittle_with, run_mesh_scaling, run_mesh_scaling_monitored,
-    run_mesh_scaling_monitored_with, run_mesh_scaling_sweep, run_mesh_scaling_sweep_with,
-    run_mesh_scaling_with, BigLittleResult, BigLittleRow, BigLittleSweep, BigLittleSweepRow,
-    MeshRow, MeshScalingResult, MeshSweep, MeshSweepRow,
+    run_biglittle_monitored_with, run_biglittle_with, run_mesh_scaling_monitored_with,
+    run_mesh_scaling_with, BigLittleResult, BigLittleRow, MeshRow, MeshScalingResult,
 };
 pub use manycore::{
     run_manycore_experiment, run_manycore_experiment_faulted,
@@ -106,5 +112,5 @@ pub use manycore::{
 };
 pub use perf::BenchRecord;
 pub use runner::{ExperimentBatch, RunnerConfig, RunnerMode};
-pub use sweep::{Aggregate, SeedSweep};
+pub use sweep::{sweep_metrics, sweep_table, SeedSweep};
 pub use worklist::{CellMetrics, Family, WorkCell, WorkList};

@@ -5,7 +5,7 @@
 //! record per metric:
 //!
 //! ```json
-//! {"target":"table1_energy","metric":"normalized_energy/Proposed","mean":1.11,"sigma":0.02,"n":5}
+//! {"target":"table1_energy","metric":"normalized_energy/rtm","mean":1.11,"sigma":0.02,"n":5}
 //! ```
 //!
 //! The schema is deliberately flat (`target`, `metric`, `mean`,
@@ -16,6 +16,7 @@
 //! `criterion` stand-in emits the same schema for the `micro` timing
 //! target (`Criterion::with_json_target`).
 
+use crate::runner::RunnerConfig;
 use qgov_metrics::MetricSummary;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -28,8 +29,7 @@ use std::path::PathBuf;
 pub struct BenchRecord {
     /// Bench target name (e.g. `table1_energy`).
     pub target: String,
-    /// Metric name within the target (e.g.
-    /// `normalized_energy/Proposed`).
+    /// Metric name within the target (e.g. `normalized_energy/rtm`).
     pub metric: String,
     /// Mean value across the samples.
     pub mean: f64,
@@ -69,6 +69,16 @@ impl BenchRecord {
             n: summary.n,
             rev: None,
         }
+    }
+
+    /// One record per metric of a by-name fold
+    /// ([`qgov_metrics::fold_by_name`]), each named by its metric.
+    #[must_use]
+    pub fn from_summaries(target: &str, summaries: &[(String, MetricSummary)]) -> Vec<Self> {
+        summaries
+            .iter()
+            .map(|(metric, summary)| Self::from_summary(target, metric.as_str(), summary))
+            .collect()
     }
 
     /// A record folding raw per-pass samples into `mean ± σ (n)` —
@@ -168,6 +178,21 @@ pub fn timed_passes<R>(passes: usize, mut body: impl FnMut() -> R) -> (R, Vec<f6
         secs.push(elapsed);
     }
     (result.expect("at least one pass ran"), secs)
+}
+
+/// Prints the wall-clock line a bench target closes with — the
+/// per-pass seconds of [`timed_passes`] as `mean ± σ` — and returns
+/// them as the target's `wall_clock_s` record.
+pub fn wall_clock(target: &str, secs: &[f64], runner: &RunnerConfig) -> BenchRecord {
+    let record = BenchRecord::from_samples(target, "wall_clock_s", secs);
+    println!(
+        "\nwall-clock: {:.3} s ± {:.3} over {} pass(es) ({})",
+        record.mean,
+        record.sigma,
+        secs.len(),
+        runner.describe()
+    );
+    record
 }
 
 /// The configured trajectory file, if `QGOV_BENCH_JSON` names one.

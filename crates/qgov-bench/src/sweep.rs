@@ -1,26 +1,23 @@
-//! Multi-seed sweep aggregation: every experiment of the paper, run
-//! across a seed set and folded into per-metric `mean ± σ (n)`
-//! summaries.
+//! Multi-seed sweeps: every experiment family run across a seed set,
+//! its per-seed [`CellMetrics`] folded by metric name into
+//! `mean ± σ (n)` summaries.
 //!
 //! The paper reports single-run tables, but a Q-learning governor is
 //! stochastic in its exploration draws: Table II's EPD-vs-UPD ordering
 //! (or Table I's energy ranking) is only credible if it holds across
-//! seeds. This module is the layer that produces those aggregates:
+//! seeds. A sweep is one run of the same cells a campaign journals,
+//! folded the way `qgov report` folds the journal:
 //!
 //! * [`SeedSweep`] — the seed set, from an explicit list, a
 //!   `base × n` range, or the `QGOV_SEEDS` environment variable
 //!   (default: one seed, preserving the single-run baselines);
-//! * [`Aggregate`] — a generic fan-out across the sweep through
-//!   [`ExperimentBatch::expand_cells`], with [`MetricSummary`] folds
-//!   over any per-result metric. [`Aggregate::collect`] runs one
-//!   opaque closure per seed; [`Aggregate::collect_grid`] flattens the
-//!   full seed × methodology cross product into **one** job queue, so
-//!   big hosts get full-width parallelism (what the `run_*_sweep`
-//!   functions use);
-//! * `run_*_sweep` — one sweep variant per experiment function of
-//!   [`crate::experiments`], returning per-metric mean / σ / min /
-//!   max / 95 % CI rows and a rendered
-//!   [`SweepTable`].
+//! * [`sweep_metrics`] — the family's per-seed [`CellMetrics`], with
+//!   the whole seed × label grid flattened into **one** job queue, so
+//!   big hosts get full-width parallelism;
+//! * [`qgov_metrics::fold_by_name`] — the by-name fold shared with the
+//!   campaign report;
+//! * [`sweep_table`] — the one renderer: rows are metric keys, columns
+//!   the family's metrics.
 //!
 //! # Determinism
 //!
@@ -31,24 +28,10 @@
 //! and a sweep aggregated serially is bit-identical to the same sweep
 //! on any worker count — `tests/sweep_determinism.rs` pins both, and
 //! CI re-runs it at `QGOV_SEEDS=3 QGOV_WORKERS=3`.
-//!
-//! ```
-//! use qgov_bench::runner::RunnerConfig;
-//! use qgov_bench::sweep::{run_table2_sweep_with, SeedSweep};
-//!
-//! let sweep = SeedSweep::base(2017, 3);
-//! let result = run_table2_sweep_with(&sweep, 120, &RunnerConfig::serial());
-//! assert_eq!(result.rows.len(), 3);
-//! for row in &result.rows {
-//!     assert_eq!(row.epd_explorations.n, 3);
-//!     assert!(row.epd_explorations.min <= row.epd_explorations.mean);
-//! }
-//! ```
 
-use crate::experiments::{
-    self, AblationResult, Fig3Result, LongHorizonResult, Table1Result, Table2Result, Table3Result,
-};
 use crate::runner::{ExperimentBatch, RunnerConfig};
+use crate::worklist::{family_metrics, CellMetrics, Family};
+use qgov_metrics::SweepFormat::{Fixed, Percent};
 use qgov_metrics::{MetricSummary, PackConfig, SweepFormat, SweepTable};
 
 /// The seed set a multi-seed sweep runs over.
@@ -219,943 +202,279 @@ impl SeedSweep {
     }
 }
 
-/// One experiment fanned out across a [`SeedSweep`]: the per-seed
-/// results in sweep order, plus [`MetricSummary`] folds over any
-/// metric of the result type.
+/// Runs a whole experiment *grid* — every `label` × every seed —
+/// through **one** flattened [`ExperimentBatch`] job queue and returns
+/// one assembled result per seed, in seed order.
 ///
-/// The fan-out goes through [`ExperimentBatch::expand_cells`], so it
-/// honours the [`RunnerConfig`] (parallel across seeds) and inherits
-/// the runner's bit-identity guarantee. Summaries are additionally
-/// invariant to the seed-list order.
+/// A sweep of `s` seeds over a family with `m` labelled cells keeps up
+/// to `s × m` workers busy. Three phases:
 ///
-/// # Examples
+/// 1. `prepare(seed, frames)` once per **unique** seed (trace
+///    recording), itself batched under `runner` — duplicate seeds
+///    share one deterministic preparation;
+/// 2. `cell(label, &prep, seed, frames)` for the full label × seed
+///    cross product in one queue;
+/// 3. `assemble(&prep, cells)` per seed, with that seed's cells in
+///    label order.
 ///
-/// ```
-/// use qgov_bench::runner::RunnerConfig;
-/// use qgov_bench::sweep::{Aggregate, SeedSweep};
-///
-/// let sweep = SeedSweep::new(vec![3, 1, 2]);
-/// let agg = Aggregate::collect("demo", &sweep, 10, &RunnerConfig::serial(), |seed, frames| {
-///     (seed * frames) as f64
-/// });
-/// assert_eq!(agg.results(), &[30.0, 10.0, 20.0]);
-/// let summary = agg.summarize(|&x| x);
-/// assert_eq!((summary.mean, summary.n), (20.0, 3));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Aggregate<T> {
-    seeds: Vec<u64>,
-    results: Vec<T>,
-}
-
-impl<T: Send> Aggregate<T> {
-    /// Runs `run_one(seed, frames)` once per sweep seed as independent
-    /// batch cells under `runner` and collects the results in sweep
-    /// order. `label` names the cells in batch diagnostics.
-    #[must_use]
-    pub fn collect<F>(
-        label: &str,
-        sweep: &SeedSweep,
-        frames: u64,
-        runner: &RunnerConfig,
-        run_one: F,
-    ) -> Self
-    where
-        F: Fn(u64, u64) -> T + Send + Sync,
-    {
-        let mut batch = ExperimentBatch::new();
-        batch.expand_cells(
-            &[label],
-            sweep.seeds(),
-            &[frames],
-            move |_, seed, frames| run_one(seed, frames),
-        );
-        let results = batch.run(runner);
-        Aggregate {
-            seeds: sweep.seeds().to_vec(),
-            results,
-        }
-    }
-}
-
-impl<T: Send> Aggregate<T> {
-    /// Fans a whole experiment *grid* — every `label` × every sweep
-    /// seed — through **one** flattened [`ExperimentBatch`] job queue,
-    /// then reassembles per-seed result bundles.
-    ///
-    /// This is the full-width parallel path the per-experiment sweeps
-    /// use (ROADMAP PR-3 follow-on): where [`Aggregate::collect`] runs
-    /// one opaque cell per seed (capping parallelism at the seed
-    /// count, each seed's inner methodology grid serial inside it),
-    /// `collect_grid` expands both axes through
-    /// [`ExperimentBatch::expand_cells`], so a sweep of `s` seeds over
-    /// an experiment with `m` methodology cells keeps up to `s × m`
-    /// workers busy. Three phases:
-    ///
-    /// 1. `prepare(seed, frames)` once per **unique** seed (trace
-    ///    recording), itself batched under `runner`;
-    /// 2. `cell(label, &prep, seed, frames)` for the full label × seed
-    ///    cross product in one queue;
-    /// 3. `assemble(seed, &prep, cells)` per seed, with that seed's
-    ///    cells in label order.
-    ///
-    /// Every cell still derives from `(label, seed)` and its own
-    /// deterministic preparation, so the flattened queue inherits the
-    /// runner's bit-identity guarantee: results equal the nested
-    /// per-seed layout on any worker count
-    /// (`tests/sweep_determinism.rs` pins both).
-    pub fn collect_grid<P, C, Prep, Cell, Asm>(
-        labels: &[&str],
-        sweep: &SeedSweep,
-        frames: u64,
-        runner: &RunnerConfig,
-        prepare: Prep,
-        cell: Cell,
-        assemble: Asm,
-    ) -> Self
-    where
-        P: Send + Sync,
-        C: Send,
-        Prep: Fn(u64, u64) -> P + Send + Sync,
-        Cell: Fn(&str, &P, u64, u64) -> C + Send + Sync,
-        Asm: Fn(u64, &P, Vec<C>) -> T,
-    {
-        // Phase 1: per-seed preparation, deduplicated (duplicate sweep
-        // seeds share one deterministic preparation).
-        let mut unique: Vec<u64> = Vec::new();
-        for &seed in sweep.seeds() {
-            if !unique.contains(&seed) {
-                unique.push(seed);
-            }
-        }
-        let mut prep_batch = ExperimentBatch::new();
-        for &seed in &unique {
-            let prepare = &prepare;
-            prep_batch.push(format!("prepare/seed={seed}"), move || {
-                prepare(seed, frames)
-            });
-        }
-        let preps = prep_batch.run(runner);
-        let prep_of = |seed: u64| -> &P {
-            &preps[unique
-                .iter()
-                .position(|&s| s == seed)
-                .expect("every sweep seed was prepared")]
-        };
-
-        // Phase 2: ONE flattened queue across both axes.
-        let mut batch = ExperimentBatch::new();
-        batch.expand_cells(labels, sweep.seeds(), &[frames], |label, seed, frames| {
-            cell(label, prep_of(seed), seed, frames)
-        });
-        let results = batch.run(runner);
-
-        // Phase 3: regroup the label-major results (`expand_cells`
-        // iterates labels outermost) into per-seed bundles, each in
-        // label order, and assemble.
-        let n = sweep.n();
-        let mut cells_by_seed: Vec<Vec<C>> =
-            (0..n).map(|_| Vec::with_capacity(labels.len())).collect();
-        for (i, c) in results.into_iter().enumerate() {
-            cells_by_seed[i % n].push(c);
-        }
-        let results: Vec<T> = sweep
-            .seeds()
-            .iter()
-            .zip(cells_by_seed)
-            .map(|(&seed, cells)| assemble(seed, prep_of(seed), cells))
-            .collect();
-        Aggregate {
-            seeds: sweep.seeds().to_vec(),
-            results,
-        }
-    }
-}
-
-impl<T> Aggregate<T> {
-    /// The sweep's seeds, in sweep order.
-    #[must_use]
-    pub fn seeds(&self) -> &[u64] {
-        &self.seeds
-    }
-
-    /// The per-seed results, in sweep order.
-    #[must_use]
-    pub fn results(&self) -> &[T] {
-        &self.results
-    }
-
-    /// Number of seeds (= number of results).
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Iterates `(seed, result)` pairs in sweep order.
-    pub fn per_seed(&self) -> impl Iterator<Item = (u64, &T)> {
-        self.seeds.iter().copied().zip(self.results.iter())
-    }
-
-    /// Folds `metric` over every per-seed result into a summary.
-    #[must_use]
-    pub fn summarize<F: Fn(&T) -> f64>(&self, metric: F) -> MetricSummary {
-        let samples: Vec<f64> = self.results.iter().map(metric).collect();
-        MetricSummary::from_samples(&samples)
-    }
-
-    /// Folds an optional metric over the results that report it
-    /// (`None`s are dropped; the summary's `n` records how many seeds
-    /// contributed — e.g. convergence epochs over the seeds that
-    /// converged).
-    #[must_use]
-    pub fn summarize_opt<F: Fn(&T) -> Option<f64>>(&self, metric: F) -> MetricSummary {
-        let samples: Vec<f64> = self.results.iter().filter_map(metric).collect();
-        MetricSummary::from_samples(&samples)
-    }
-
-    /// Consumes the aggregate into `(seeds, results)`.
-    #[must_use]
-    pub fn into_parts(self) -> (Vec<u64>, Vec<T>) {
-        (self.seeds, self.results)
-    }
-}
-
-/// One methodology's cross-seed aggregates in the Table I sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table1SweepRow {
-    /// Methodology name.
-    pub method: String,
-    /// Energy normalised to the same-seed Oracle run.
-    pub normalized_energy: MetricSummary,
-    /// Mean `Tᵢ/T_ref`.
-    pub normalized_performance: MetricSummary,
-    /// Deadline miss rate.
-    pub miss_rate: MetricSummary,
-    /// Mean OPP index.
-    pub mean_opp: MetricSummary,
-    /// Absolute energy in joules.
-    pub energy_joules: MetricSummary,
-}
-
-/// The Table I sweep bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table1Sweep {
-    /// The seeds aggregated, in sweep order.
-    pub seeds: Vec<u64>,
-    /// One aggregate row per methodology.
-    pub rows: Vec<Table1SweepRow>,
-    /// Rendered `mean ± σ (n)` table.
-    pub table: SweepTable,
-    /// The underlying single-seed results, in sweep order.
-    pub per_seed: Vec<Table1Result>,
-}
-
-/// **Table I** across a seed sweep, with the execution policy read
-/// from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_table1_sweep(sweep: &SeedSweep, frames: u64) -> Table1Sweep {
-    run_table1_sweep_with(sweep, frames, &RunnerConfig::from_env())
-}
-
-/// **Table I** across a seed sweep under an explicit [`RunnerConfig`]:
-/// the full seed × methodology grid runs as **one** flattened job
-/// queue ([`Aggregate::collect_grid`]), folded into per-methodology
-/// aggregates.
-#[must_use]
-pub fn run_table1_sweep_with(sweep: &SeedSweep, frames: u64, runner: &RunnerConfig) -> Table1Sweep {
-    let agg = Aggregate::collect_grid(
-        experiments::TABLE1_LABELS,
-        sweep,
-        frames,
-        runner,
-        experiments::table1_prepare,
-        experiments::table1_cell,
-        |_seed, _prep, cells| experiments::table1_assemble(cells),
-    );
-
-    let methods: Vec<String> = agg.results()[0]
-        .rows
-        .iter()
-        .map(|r| r.method.clone())
-        .collect();
-    let rows: Vec<Table1SweepRow> = methods
-        .iter()
-        .enumerate()
-        .map(|(i, method)| {
-            debug_assert!(
-                agg.results().iter().all(|r| r.rows[i].method == *method),
-                "methodology order must not depend on the seed"
-            );
-            Table1SweepRow {
-                method: method.clone(),
-                normalized_energy: agg.summarize(|r| r.rows[i].normalized_energy),
-                normalized_performance: agg.summarize(|r| r.rows[i].normalized_performance),
-                miss_rate: agg.summarize(|r| r.rows[i].miss_rate),
-                mean_opp: agg.summarize(|r| r.rows[i].mean_opp),
-                energy_joules: agg.summarize(|r| r.rows[i].energy_joules),
-            }
-        })
-        .collect();
-
-    let mut table = SweepTable::new(
-        "Methodology",
-        vec![
-            ("Normalized energy", SweepFormat::Fixed(2)),
-            ("Normalized performance", SweepFormat::Fixed(2)),
-            ("Miss rate", SweepFormat::Percent(1)),
-            ("Mean OPP", SweepFormat::Fixed(1)),
-        ],
-    );
-    for row in &rows {
-        table.add_row(
-            row.method.clone(),
-            vec![
-                row.normalized_energy,
-                row.normalized_performance,
-                row.miss_rate,
-                row.mean_opp,
-            ],
-        );
-    }
-    let (seeds, per_seed) = agg.into_parts();
-    Table1Sweep {
-        seeds,
-        rows,
-        table,
-        per_seed,
-    }
-}
-
-/// One application's cross-seed aggregates in the Table II sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table2SweepRow {
-    /// Application label.
-    pub app: String,
-    /// Explorations to convergence under uniform exploration \[21\].
-    pub upd_explorations: MetricSummary,
-    /// Explorations to convergence under the EPD (ours).
-    pub epd_explorations: MetricSummary,
-    /// Per-seed `EPD / UPD` ratio (the paper's headline reduction,
-    /// aggregated pairwise rather than as a ratio of means).
-    pub epd_upd_ratio: MetricSummary,
-}
-
-/// The Table II sweep bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table2Sweep {
-    /// The seeds aggregated, in sweep order.
-    pub seeds: Vec<u64>,
-    /// One aggregate row per application.
-    pub rows: Vec<Table2SweepRow>,
-    /// Rendered `mean ± σ (n)` table.
-    pub table: SweepTable,
-    /// The underlying single-seed results, in sweep order.
-    pub per_seed: Vec<Table2Result>,
-}
-
-/// **Table II** across a seed sweep, with the execution policy read
-/// from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_table2_sweep(sweep: &SeedSweep, frames: u64) -> Table2Sweep {
-    run_table2_sweep_with(sweep, frames, &RunnerConfig::from_env())
-}
-
-/// **Table II** across a seed sweep under an explicit
-/// [`RunnerConfig`]: per-application UPD/EPD exploration counts and
-/// their pairwise ratio, aggregated over the seeds; the seed ×
-/// (application × policy) grid runs as one flattened job queue.
-#[must_use]
-pub fn run_table2_sweep_with(sweep: &SeedSweep, frames: u64, runner: &RunnerConfig) -> Table2Sweep {
-    let agg = Aggregate::collect_grid(
-        experiments::TABLE2_LABELS,
-        sweep,
-        frames,
-        runner,
-        experiments::table2_prepare,
-        |label, prep, seed, frames| experiments::table2_cell(label, prep, seed, frames),
-        |_seed, _prep, cells| experiments::table2_assemble(cells),
-    );
-
-    let apps: Vec<String> = agg.results()[0]
-        .rows
-        .iter()
-        .map(|r| r.app.clone())
-        .collect();
-    let rows: Vec<Table2SweepRow> = apps
-        .iter()
-        .enumerate()
-        .map(|(i, app)| {
-            debug_assert!(
-                agg.results().iter().all(|r| r.rows[i].app == *app),
-                "application order must not depend on the seed"
-            );
-            Table2SweepRow {
-                app: app.clone(),
-                upd_explorations: agg.summarize(|r| r.rows[i].upd_explorations as f64),
-                epd_explorations: agg.summarize(|r| r.rows[i].epd_explorations as f64),
-                epd_upd_ratio: agg.summarize(|r| {
-                    r.rows[i].epd_explorations as f64 / r.rows[i].upd_explorations as f64
-                }),
-            }
-        })
-        .collect();
-
-    let mut table = SweepTable::new(
-        "Application",
-        vec![
-            ("Explorations [21] (UPD)", SweepFormat::Fixed(1)),
-            ("Our approach (EPD)", SweepFormat::Fixed(1)),
-            ("EPD/UPD", SweepFormat::Fixed(2)),
-        ],
-    );
-    for row in &rows {
-        table.add_row(
-            row.app.clone(),
-            vec![
-                row.upd_explorations,
-                row.epd_explorations,
-                row.epd_upd_ratio,
-            ],
-        );
-    }
-    let (seeds, per_seed) = agg.into_parts();
-    Table2Sweep {
-        seeds,
-        rows,
-        table,
-        per_seed,
-    }
-}
-
-/// One methodology's cross-seed aggregates in the Table III sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table3SweepRow {
-    /// Methodology name.
-    pub method: String,
-    /// Exploration-phase decision epochs (the learning overhead).
-    pub exploration_epochs: MetricSummary,
-    /// Convergence epoch over the seeds that converged (the summary's
-    /// `n` records how many did).
-    pub convergence_epochs: MetricSummary,
-}
-
-/// The Table III sweep bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table3Sweep {
-    /// The seeds aggregated, in sweep order.
-    pub seeds: Vec<u64>,
-    /// One aggregate row per methodology.
-    pub rows: Vec<Table3SweepRow>,
-    /// Rendered `mean ± σ (n)` table.
-    pub table: SweepTable,
-    /// The underlying single-seed results, in sweep order.
-    pub per_seed: Vec<Table3Result>,
-}
-
-/// **Table III** across a seed sweep, with the execution policy read
-/// from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_table3_sweep(sweep: &SeedSweep, frames: u64) -> Table3Sweep {
-    run_table3_sweep_with(sweep, frames, &RunnerConfig::from_env())
-}
-
-/// **Table III** across a seed sweep under an explicit
-/// [`RunnerConfig`]; the seed × methodology grid runs as one flattened
-/// job queue.
-#[must_use]
-pub fn run_table3_sweep_with(sweep: &SeedSweep, frames: u64, runner: &RunnerConfig) -> Table3Sweep {
-    let agg = Aggregate::collect_grid(
-        experiments::TABLE3_LABELS,
-        sweep,
-        frames,
-        runner,
-        experiments::table3_prepare,
-        experiments::table3_cell,
-        |_seed, _prep, cells| experiments::table3_assemble(cells),
-    );
-
-    let methods: Vec<String> = agg.results()[0]
-        .rows
-        .iter()
-        .map(|r| r.method.clone())
-        .collect();
-    let rows: Vec<Table3SweepRow> = methods
-        .iter()
-        .enumerate()
-        .map(|(i, method)| Table3SweepRow {
-            method: method.clone(),
-            exploration_epochs: agg.summarize(|r| r.rows[i].exploration_epochs as f64),
-            convergence_epochs: agg
-                .summarize_opt(|r| r.rows[i].convergence_epochs.map(|e| e as f64)),
-        })
-        .collect();
-
-    let mut table = SweepTable::new(
-        "Methodology",
-        vec![
-            ("Time overhead (decision epochs)", SweepFormat::Fixed(1)),
-            ("Greedy policy stable at", SweepFormat::Fixed(1)),
-        ],
-    );
-    for row in &rows {
-        table.add_row(
-            row.method.clone(),
-            vec![row.exploration_epochs, row.convergence_epochs],
-        );
-    }
-    let (seeds, per_seed) = agg.into_parts();
-    Table3Sweep {
-        seeds,
-        rows,
-        table,
-        per_seed,
-    }
-}
-
-/// The Fig. 3 sweep bundle: the headline misprediction statistics
-/// aggregated across seeds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig3Sweep {
-    /// The seeds aggregated, in sweep order.
-    pub seeds: Vec<u64>,
-    /// Mean relative misprediction over the first 100 frames.
-    pub early_misprediction: MetricSummary,
-    /// Mean relative misprediction after frame 100.
-    pub late_misprediction: MetricSummary,
-    /// Count of frames whose error exceeds 15 %.
-    pub mispredicted_frames: MetricSummary,
-    /// Rendered `mean ± σ (n)` table (one row).
-    pub table: SweepTable,
-    /// The underlying single-seed results (series and CSVs), in sweep
-    /// order.
-    pub per_seed: Vec<Fig3Result>,
-}
-
-/// **Fig. 3** across a seed sweep, with the execution policy read from
-/// `QGOV_WORKERS`.
-#[must_use]
-pub fn run_fig3_sweep(sweep: &SeedSweep, frames: u64) -> Fig3Sweep {
-    run_fig3_sweep_with(sweep, frames, &RunnerConfig::from_env())
-}
-
-/// **Fig. 3** across a seed sweep under an explicit [`RunnerConfig`].
-/// The per-seed series (for plotting) stay available in
-/// [`Fig3Sweep::per_seed`]; the aggregate covers the headline
-/// statistics.
-#[must_use]
-pub fn run_fig3_sweep_with(sweep: &SeedSweep, frames: u64, runner: &RunnerConfig) -> Fig3Sweep {
-    let agg = Aggregate::collect_grid(
-        experiments::FIG3_LABELS,
-        sweep,
-        frames,
-        runner,
-        experiments::fig3_prepare,
-        experiments::fig3_cell,
-        |_seed, _prep, cells| experiments::fig3_assemble(cells),
-    );
-
-    let early = agg.summarize(|r| r.early_misprediction);
-    let late = agg.summarize(|r| r.late_misprediction);
-    let count = agg.summarize(|r| r.mispredicted_frames.len() as f64);
-
-    let mut table = SweepTable::new(
-        "Workload",
-        vec![
-            ("Early misprediction (1–100)", SweepFormat::Percent(1)),
-            ("Late misprediction", SweepFormat::Percent(1)),
-            (">15% frames", SweepFormat::Fixed(1)),
-        ],
-    );
-    table.add_row("MPEG4 SVGA 24 fps", vec![early, late, count]);
-    let (seeds, per_seed) = agg.into_parts();
-    Fig3Sweep {
-        seeds,
-        early_misprediction: early,
-        late_misprediction: late,
-        mispredicted_frames: count,
-        table,
-        per_seed,
-    }
-}
-
-/// One methodology's cross-seed aggregates in the long-horizon sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LongHorizonSweepRow {
-    /// Methodology name.
-    pub method: String,
-    /// Energy normalised to the same-seed ondemand run.
-    pub normalized_energy: MetricSummary,
-    /// Mean `Tᵢ/T_ref`.
-    pub normalized_performance: MetricSummary,
-    /// Whole-run deadline miss rate.
-    pub miss_rate: MetricSummary,
-    /// Miss rate over the first convergence window.
-    pub early_miss_rate: MetricSummary,
-    /// Miss rate over the last convergence window.
-    pub late_miss_rate: MetricSummary,
-}
-
-/// The long-horizon sweep bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LongHorizonSweep {
-    /// The seeds aggregated, in sweep order.
-    pub seeds: Vec<u64>,
-    /// One aggregate row per methodology.
-    pub rows: Vec<LongHorizonSweepRow>,
-    /// Rendered `mean ± σ (n)` table.
-    pub table: SweepTable,
-    /// The underlying single-seed results (including the windowed
-    /// convergence folds), in sweep order.
-    pub per_seed: Vec<LongHorizonResult>,
-}
-
-/// **Long horizon** across a seed sweep, with the execution policy
-/// read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_long_horizon_sweep(sweep: &SeedSweep, frames: u64) -> LongHorizonSweep {
-    run_long_horizon_sweep_with(sweep, frames, &RunnerConfig::from_env())
-}
-
-/// **Long horizon** across a seed sweep under an explicit
-/// [`RunnerConfig`]: each seed records its own streamed trace to a
-/// private scratch directory once, then the seed × methodology replay
-/// grid runs as one flattened job queue; whole-run metrics plus the
-/// early/late convergence-window miss rates are folded into
-/// per-methodology aggregates.
-#[must_use]
-pub fn run_long_horizon_sweep_with(
-    sweep: &SeedSweep,
-    frames: u64,
-    runner: &RunnerConfig,
-) -> LongHorizonSweep {
-    let agg = Aggregate::collect_grid(
-        experiments::LONG_HORIZON_LABELS,
-        sweep,
-        frames,
-        runner,
-        experiments::long_horizon_prepare,
-        experiments::long_horizon_cell,
-        |_seed, prep, reports| experiments::long_horizon_assemble(prep, frames, reports),
-    );
-    assemble_long_horizon_sweep(agg)
-}
-
-/// [`run_long_horizon_sweep_with`] with the standard temporal property
-/// pack riding every seed × methodology cell: the aggregates are
-/// unchanged (monitors are pure observers) and each per-seed row
-/// carries its verdicts on
-/// [`monitor`](crate::experiments::LongHorizonRow::monitor).
-#[must_use]
-pub fn run_long_horizon_monitored_sweep_with(
-    sweep: &SeedSweep,
-    frames: u64,
-    runner: &RunnerConfig,
-    pack: &PackConfig,
-) -> LongHorizonSweep {
-    let cfg = *pack;
-    let agg = Aggregate::collect_grid(
-        experiments::LONG_HORIZON_LABELS,
-        sweep,
-        frames,
-        runner,
-        experiments::long_horizon_prepare,
-        move |label, prep, seed, frames| {
-            experiments::long_horizon_cell_with(label, prep, seed, frames, Some(&cfg))
-        },
-        |_seed, prep, reports| experiments::long_horizon_assemble(prep, frames, reports),
-    );
-    assemble_long_horizon_sweep(agg)
-}
-
-/// Folds the per-seed long-horizon results into the cross-seed rows
-/// and rendered table (shared by the monitored and unmonitored
-/// sweeps).
-fn assemble_long_horizon_sweep(agg: Aggregate<LongHorizonResult>) -> LongHorizonSweep {
-    let methods: Vec<String> = agg.results()[0]
-        .rows
-        .iter()
-        .map(|r| r.method.clone())
-        .collect();
-    let rows: Vec<LongHorizonSweepRow> = methods
-        .iter()
-        .enumerate()
-        .map(|(i, method)| {
-            debug_assert!(
-                agg.results().iter().all(|r| r.rows[i].method == *method),
-                "methodology order must not depend on the seed"
-            );
-            LongHorizonSweepRow {
-                method: method.clone(),
-                normalized_energy: agg.summarize(|r| r.rows[i].normalized_energy),
-                normalized_performance: agg.summarize(|r| r.rows[i].normalized_performance),
-                miss_rate: agg.summarize(|r| r.rows[i].miss_rate),
-                early_miss_rate: agg.summarize(|r| r.rows[i].early_miss_rate),
-                late_miss_rate: agg.summarize(|r| r.rows[i].late_miss_rate),
-            }
-        })
-        .collect();
-
-    let mut table = SweepTable::new(
-        "Methodology",
-        vec![
-            ("Normalized energy", SweepFormat::Fixed(2)),
-            ("Normalized performance", SweepFormat::Fixed(2)),
-            ("Miss rate", SweepFormat::Percent(1)),
-            ("Early miss (first window)", SweepFormat::Percent(1)),
-            ("Late miss (last window)", SweepFormat::Percent(1)),
-        ],
-    );
-    for row in &rows {
-        table.add_row(
-            row.method.clone(),
-            vec![
-                row.normalized_energy,
-                row.normalized_performance,
-                row.miss_rate,
-                row.early_miss_rate,
-                row.late_miss_rate,
-            ],
-        );
-    }
-    let (seeds, per_seed) = agg.into_parts();
-    LongHorizonSweep {
-        seeds,
-        rows,
-        table,
-        per_seed,
-    }
-}
-
-/// One configuration's cross-seed aggregates in an ablation sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AblationSweepRow {
-    /// Configuration label (seed-independent; per-seed annotations the
-    /// single-run labels carry, such as the smoothing ablation's
-    /// misprediction, are stripped).
-    pub label: String,
-    /// Energy normalised to the same-seed Oracle run.
-    pub normalized_energy: MetricSummary,
-    /// Mean `Tᵢ/T_ref`.
-    pub normalized_performance: MetricSummary,
-    /// Deadline miss rate.
-    pub miss_rate: MetricSummary,
-    /// Convergence epoch over the seeds that converged (the summary's
-    /// `n` records how many did).
-    pub convergence_epochs: MetricSummary,
-    /// Explorations until convergence (or total if never converged).
-    pub explorations: MetricSummary,
-}
-
-/// An ablation sweep bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AblationSweep {
-    /// The seeds aggregated, in sweep order.
-    pub seeds: Vec<u64>,
-    /// One aggregate row per configuration.
-    pub rows: Vec<AblationSweepRow>,
-    /// Rendered `mean ± σ (n)` table.
-    pub table: SweepTable,
-    /// The underlying single-seed results, in sweep order.
-    pub per_seed: Vec<AblationResult>,
-}
-
-/// Shared fold for the three ablation sweeps: the family's cell
-/// providers run through one flattened seed × configuration queue
-/// ([`Aggregate::collect_grid`]), and `normalize_label` maps a
-/// single-run row label to its seed-independent form.
-#[allow(clippy::too_many_arguments)]
-fn ablation_sweep_with<P, C, Prep, Cell, Asm>(
-    label_header: &str,
+/// Every cell derives from `(label, seed)` and its own deterministic
+/// preparation, so the result for a seed is bit-identical to the same
+/// seed run alone, on any worker count (`tests/sweep_determinism.rs`).
+pub(crate) fn collect_grid<P, C, T, Prep, Cell, Asm>(
     labels: &[&str],
-    sweep: &SeedSweep,
+    seeds: &[u64],
     frames: u64,
     runner: &RunnerConfig,
-    normalize_label: fn(&str) -> String,
     prepare: Prep,
     cell: Cell,
     assemble: Asm,
-) -> AblationSweep
+) -> Vec<T>
 where
     P: Send + Sync,
     C: Send,
     Prep: Fn(u64, u64) -> P + Send + Sync,
     Cell: Fn(&str, &P, u64, u64) -> C + Send + Sync,
-    Asm: Fn(Vec<C>) -> AblationResult,
+    Asm: Fn(&P, Vec<C>) -> T,
 {
-    let agg = Aggregate::collect_grid(labels, sweep, frames, runner, prepare, cell, |_, _, c| {
-        assemble(c)
-    });
-
-    // Per-seed label annotations (the smoothing ablation's
-    // misprediction percentage) are only ambiguous across seeds; a
-    // single-seed sweep keeps them, preserving the single-run output.
-    let normalize_label = if agg.n() > 1 {
-        normalize_label
-    } else {
-        identity_label
+    let mut unique: Vec<u64> = Vec::new();
+    for &seed in seeds {
+        if !unique.contains(&seed) {
+            unique.push(seed);
+        }
+    }
+    let mut prep_batch = ExperimentBatch::new();
+    for &seed in &unique {
+        let prepare = &prepare;
+        prep_batch.push(format!("prepare/seed={seed}"), move || {
+            prepare(seed, frames)
+        });
+    }
+    let preps = prep_batch.run(runner);
+    let prep_of = |seed: u64| -> &P {
+        &preps[unique
+            .iter()
+            .position(|&s| s == seed)
+            .expect("every seed was prepared")]
     };
-    let labels: Vec<String> = agg.results()[0]
-        .rows
-        .iter()
-        .map(|r| normalize_label(&r.label))
-        .collect();
-    let rows: Vec<AblationSweepRow> = labels
-        .iter()
-        .enumerate()
-        .map(|(i, label)| {
-            debug_assert!(
-                agg.results()
-                    .iter()
-                    .all(|r| normalize_label(&r.rows[i].label) == *label),
-                "configuration order must not depend on the seed"
-            );
-            AblationSweepRow {
-                label: label.clone(),
-                normalized_energy: agg.summarize(|r| r.rows[i].normalized_energy),
-                normalized_performance: agg.summarize(|r| r.rows[i].normalized_performance),
-                miss_rate: agg.summarize(|r| r.rows[i].miss_rate),
-                convergence_epochs: agg
-                    .summarize_opt(|r| r.rows[i].convergence_epochs.map(|e| e as f64)),
-                explorations: agg.summarize(|r| r.rows[i].explorations as f64),
-            }
-        })
-        .collect();
 
+    let mut batch = ExperimentBatch::new();
+    batch.expand_cells(labels, seeds, &[frames], |label, seed, frames| {
+        cell(label, prep_of(seed), seed, frames)
+    });
+    // `expand_cells` iterates labels outermost: regroup the label-major
+    // results into per-seed bundles, each in label order.
+    let n = seeds.len();
+    let mut cells_by_seed: Vec<Vec<C>> = (0..n).map(|_| Vec::with_capacity(labels.len())).collect();
+    for (i, c) in batch.run(runner).into_iter().enumerate() {
+        cells_by_seed[i % n].push(c);
+    }
+    seeds
+        .iter()
+        .zip(cells_by_seed)
+        .map(|(&seed, cells)| assemble(prep_of(seed), cells))
+        .collect()
+}
+
+/// Runs `family` once per sweep seed and returns each seed's
+/// [`CellMetrics`], in sweep order: exactly what
+/// [`WorkList::run_cell`](crate::worklist::WorkList::run_cell) journals
+/// for that seed (the same dispatch, here with the whole seed × label
+/// grid in one job queue under `runner`). `pack` attaches the standard
+/// temporal-property pack to [`Family::LongHorizon`] cells, adding
+/// their `monitor_violations/…` metrics; other families ignore it.
+/// [`Family::Fleet`] cells run one instance.
+///
+/// Fold the result with [`qgov_metrics::fold_by_name`] and render it
+/// with [`sweep_table`].
+///
+/// ```
+/// use qgov_bench::runner::RunnerConfig;
+/// use qgov_bench::sweep::{sweep_metrics, sweep_table, SeedSweep};
+/// use qgov_bench::worklist::Family;
+/// use qgov_metrics::fold_by_name;
+///
+/// let sweep = SeedSweep::base(2017, 3);
+/// let cells = sweep_metrics(Family::Table2, &sweep, 120, None, &RunnerConfig::serial());
+/// assert_eq!(cells.len(), 3);
+/// let summaries = fold_by_name(&cells);
+/// let (_, ratio) = summaries
+///     .iter()
+///     .find(|(name, _)| name == "epd_upd_ratio/mpeg4")
+///     .unwrap();
+/// assert_eq!(ratio.n, 3);
+/// assert!(sweep_table(Family::Table2, &summaries).render().contains("EPD/UPD"));
+/// ```
+#[must_use]
+pub fn sweep_metrics(
+    family: Family,
+    sweep: &SeedSweep,
+    frames: u64,
+    pack: Option<&PackConfig>,
+    runner: &RunnerConfig,
+) -> Vec<CellMetrics> {
+    family_metrics(family, sweep.seeds(), frames, 1, pack, runner)
+}
+
+/// One column of a family's sweep table: the metric-name prefix it
+/// reads, its header, and its number format.
+type Column = (&'static str, &'static str, SweepFormat);
+
+/// The ablation columns; only the smoothing ablation reports the last.
+const ABLATION_COLUMNS: &[Column] = &[
+    ("normalized_energy", "Normalized energy", Fixed(2)),
+    ("normalized_performance", "Normalized performance", Fixed(2)),
+    ("miss_rate", "Miss rate", Percent(1)),
+    ("convergence_epochs", "Convergence (epochs)", Fixed(1)),
+    ("explorations", "Explorations", Fixed(1)),
+    ("misprediction", "Misprediction", Percent(1)),
+];
+
+/// Each family's row-label header and column list.
+fn columns(family: Family) -> (&'static str, &'static [Column]) {
+    match family {
+        Family::Table1 => (
+            "Methodology",
+            &[
+                ("normalized_energy", "Normalized energy", Fixed(2)),
+                ("normalized_performance", "Normalized performance", Fixed(2)),
+                ("miss_rate", "Miss rate", Percent(1)),
+                ("mean_opp", "Mean OPP", Fixed(1)),
+            ],
+        ),
+        Family::Table2 => (
+            "Application",
+            &[
+                ("upd_explorations", "Explorations [21] (UPD)", Fixed(1)),
+                ("epd_explorations", "Our approach (EPD)", Fixed(1)),
+                ("epd_upd_ratio", "EPD/UPD", Fixed(2)),
+            ],
+        ),
+        Family::Table3 => (
+            "Methodology",
+            &[
+                (
+                    "exploration_epochs",
+                    "Time overhead (decision epochs)",
+                    Fixed(1),
+                ),
+                ("convergence_epochs", "Greedy policy stable at", Fixed(1)),
+            ],
+        ),
+        Family::Fig3 => (
+            "Workload",
+            &[
+                (
+                    "early_misprediction",
+                    "Early misprediction (1–100)",
+                    Percent(1),
+                ),
+                ("late_misprediction", "Late misprediction", Percent(1)),
+                ("mispredicted_frames", ">15% frames", Fixed(1)),
+            ],
+        ),
+        Family::StateLevels => ("State levels", &ABLATION_COLUMNS[..5]),
+        Family::Smoothing => ("EWMA smoothing", ABLATION_COLUMNS),
+        Family::SharedTable => ("Formulation", &ABLATION_COLUMNS[..5]),
+        Family::LongHorizon => (
+            "Methodology",
+            &[
+                ("normalized_energy", "Normalized energy", Fixed(2)),
+                ("normalized_performance", "Normalized performance", Fixed(2)),
+                ("miss_rate", "Miss rate", Percent(1)),
+                ("early_miss_rate", "Early miss (first window)", Percent(1)),
+                ("late_miss_rate", "Late miss (last window)", Percent(1)),
+            ],
+        ),
+        Family::BigLittle => (
+            "Placement",
+            &[
+                ("energy_joules", "Energy (J)", Fixed(1)),
+                ("normalized_energy", "Normalized energy", Fixed(2)),
+                ("miss_rate", "Miss rate", Percent(1)),
+                ("energy_per_met_frame", "J / met frame", Fixed(3)),
+                ("migrations", "Migrations", Fixed(1)),
+            ],
+        ),
+        Family::MeshScaling => (
+            "Mesh",
+            &[
+                ("energy_joules", "Energy (J)", Fixed(1)),
+                ("energy_per_cluster", "J / cluster", Fixed(1)),
+                ("miss_rate", "Miss rate", Percent(1)),
+                ("migrations", "Migrations", Fixed(1)),
+            ],
+        ),
+        Family::FaultStorm => (
+            "Coordinator",
+            &[
+                ("energy_joules", "Energy (J)", Fixed(1)),
+                ("miss_rate", "Miss rate", Percent(1)),
+                ("post_drop_miss_rate", "Post-drop misses", Percent(1)),
+                ("time_to_recover", "Recovery (epochs)", Fixed(1)),
+                ("worst_excursion", "Worst excursion", Fixed(2)),
+                ("degraded_epochs", "Degraded epochs", Fixed(1)),
+                ("monitor_violations", "Monitor violations", Fixed(1)),
+            ],
+        ),
+        Family::Fleet => (
+            "Instance",
+            &[
+                ("miss_rate", "Miss rate", Percent(1)),
+                ("normalized_performance", "Normalized performance", Fixed(2)),
+                ("mean_opp", "Mean OPP", Fixed(1)),
+                ("energy_joules", "Energy (J)", Fixed(1)),
+            ],
+        ),
+    }
+}
+
+/// Splits a metric name into `(prefix, row key)`: `"miss_rate/rtm"` →
+/// `("miss_rate", "rtm")`. An un-keyed metric (Fig. 3's
+/// `early_misprediction`) belongs to the row named after the family.
+fn split_metric(name: &str, family: Family) -> (&str, &str) {
+    name.split_once('/').unwrap_or((name, family.name()))
+}
+
+/// Lays summaries folded by [`qgov_metrics::fold_by_name`] out as
+/// `family`'s `mean ± σ (n)` table: one row per metric key (`rtm`,
+/// `gamma_0_6`, `mesh_16`, … in first-appearance order), one column
+/// per family metric. A metric no cell reported renders as `—`.
+#[must_use]
+pub fn sweep_table(family: Family, summaries: &[(String, MetricSummary)]) -> SweepTable {
+    let (label_header, columns) = columns(family);
+    let mut keys: Vec<&str> = Vec::new();
+    for (name, _) in summaries {
+        let (prefix, key) = split_metric(name, family);
+        if columns.iter().any(|c| c.0 == prefix) && !keys.contains(&key) {
+            keys.push(key);
+        }
+    }
     let mut table = SweepTable::new(
         label_header,
-        vec![
-            ("Normalized energy", SweepFormat::Fixed(2)),
-            ("Normalized performance", SweepFormat::Fixed(2)),
-            ("Miss rate", SweepFormat::Percent(1)),
-            ("Convergence (epochs)", SweepFormat::Fixed(1)),
-            ("Explorations", SweepFormat::Fixed(1)),
-        ],
+        columns
+            .iter()
+            .map(|&(_, header, format)| (header, format))
+            .collect(),
     );
-    for row in &rows {
-        table.add_row(
-            row.label.clone(),
-            vec![
-                row.normalized_energy,
-                row.normalized_performance,
-                row.miss_rate,
-                row.convergence_epochs,
-                row.explorations,
-            ],
-        );
+    for key in keys {
+        let row = columns
+            .iter()
+            .map(|&(prefix, _, _)| {
+                summaries
+                    .iter()
+                    .find(|(name, _)| split_metric(name, family) == (prefix, key))
+                    .map_or_else(|| MetricSummary::from_samples(&[]), |(_, s)| *s)
+            })
+            .collect();
+        table.add_row(key, row);
     }
-    let (seeds, per_seed) = agg.into_parts();
-    AblationSweep {
-        seeds,
-        rows,
-        table,
-        per_seed,
-    }
-}
-
-fn identity_label(label: &str) -> String {
-    label.to_owned()
-}
-
-/// Strips the per-seed misprediction annotation the smoothing
-/// ablation's single-run labels embed (`"gamma = 0.60 (misprediction
-/// 4.6%)"` → `"gamma = 0.60"`).
-fn strip_misprediction(label: &str) -> String {
-    label
-        .split(" (misprediction")
-        .next()
-        .unwrap_or(label)
-        .to_owned()
-}
-
-/// **Ablation** — state discretisation levels N across a seed sweep,
-/// with the execution policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_state_levels_ablation_sweep(sweep: &SeedSweep, frames: u64) -> AblationSweep {
-    run_state_levels_ablation_sweep_with(sweep, frames, &RunnerConfig::from_env())
-}
-
-/// **Ablation** — state discretisation levels N across a seed sweep
-/// under an explicit [`RunnerConfig`].
-#[must_use]
-pub fn run_state_levels_ablation_sweep_with(
-    sweep: &SeedSweep,
-    frames: u64,
-    runner: &RunnerConfig,
-) -> AblationSweep {
-    ablation_sweep_with(
-        "State levels",
-        experiments::LEVELS_LABELS,
-        sweep,
-        frames,
-        runner,
-        identity_label,
-        experiments::levels_ablation_prepare,
-        experiments::levels_ablation_cell,
-        experiments::levels_ablation_assemble,
-    )
-}
-
-/// **Ablation** — EWMA smoothing γ across a seed sweep, with the
-/// execution policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_smoothing_ablation_sweep(sweep: &SeedSweep, frames: u64) -> AblationSweep {
-    run_smoothing_ablation_sweep_with(sweep, frames, &RunnerConfig::from_env())
-}
-
-/// **Ablation** — EWMA smoothing γ across a seed sweep under an
-/// explicit [`RunnerConfig`]. Row labels are normalised to the bare
-/// `gamma = …` form (the single-run labels embed each seed's own
-/// misprediction percentage).
-#[must_use]
-pub fn run_smoothing_ablation_sweep_with(
-    sweep: &SeedSweep,
-    frames: u64,
-    runner: &RunnerConfig,
-) -> AblationSweep {
-    ablation_sweep_with(
-        "EWMA smoothing",
-        experiments::GAMMA_LABELS,
-        sweep,
-        frames,
-        runner,
-        strip_misprediction,
-        experiments::smoothing_ablation_prepare,
-        experiments::smoothing_ablation_cell,
-        experiments::smoothing_ablation_assemble,
-    )
-}
-
-/// **Ablation** — shared vs per-core Q-tables across a seed sweep,
-/// with the execution policy read from `QGOV_WORKERS`.
-#[must_use]
-pub fn run_shared_table_ablation_sweep(sweep: &SeedSweep, frames: u64) -> AblationSweep {
-    run_shared_table_ablation_sweep_with(sweep, frames, &RunnerConfig::from_env())
-}
-
-/// **Ablation** — shared vs per-core Q-tables across a seed sweep
-/// under an explicit [`RunnerConfig`].
-#[must_use]
-pub fn run_shared_table_ablation_sweep_with(
-    sweep: &SeedSweep,
-    frames: u64,
-    runner: &RunnerConfig,
-) -> AblationSweep {
-    ablation_sweep_with(
-        "Formulation",
-        experiments::SHARED_LABELS,
-        sweep,
-        frames,
-        runner,
-        identity_label,
-        experiments::shared_ablation_prepare,
-        experiments::shared_ablation_cell,
-        experiments::shared_ablation_assemble,
-    )
+    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qgov_metrics::fold_by_name;
 
     #[test]
     fn parse_accepts_counts_lists_and_rejects_garbage() {
@@ -1235,93 +554,122 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_collects_in_sweep_order_and_summarizes() {
-        let sweep = SeedSweep::new(vec![10, 30, 20]);
-        let agg = Aggregate::collect("t", &sweep, 2, &RunnerConfig::with_workers(2), |s, f| {
-            (s * f) as f64
-        });
-        assert_eq!(agg.results(), &[20.0, 60.0, 40.0]);
-        assert_eq!(agg.per_seed().count(), 3);
-        let summary = agg.summarize(|&x| x);
-        assert_eq!(summary.mean, 40.0);
-        assert_eq!((summary.min, summary.max), (20.0, 60.0));
-        let odd = agg.summarize_opt(|&x| (x > 30.0).then_some(x));
-        assert_eq!(odd.n, 2);
+    fn collect_grid_regroups_by_seed_and_prepares_duplicates_once() {
+        let prepared = std::sync::atomic::AtomicUsize::new(0);
+        let results = collect_grid(
+            &["a", "b"],
+            &[10, 30, 10],
+            2,
+            &RunnerConfig::with_workers(2),
+            |seed, frames| {
+                prepared.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                seed * frames
+            },
+            |label, &prep, seed, _| format!("{label}{prep}/{seed}"),
+            |&prep, cells| (prep, cells),
+        );
+        assert_eq!(prepared.into_inner(), 2, "duplicate seeds share one prep");
+        assert_eq!(
+            results,
+            [
+                (20, vec!["a20/10".to_owned(), "b20/10".to_owned()]),
+                (60, vec!["a60/30".to_owned(), "b60/30".to_owned()]),
+                (20, vec!["a20/10".to_owned(), "b20/10".to_owned()]),
+            ]
+        );
     }
 
     #[test]
     fn single_seed_sweep_matches_the_single_run() {
-        let sweep = SeedSweep::single(1);
-        let swept = run_table3_sweep_with(&sweep, 120, &RunnerConfig::serial());
+        let swept = sweep_metrics(
+            Family::Table3,
+            &SeedSweep::single(1),
+            120,
+            None,
+            &RunnerConfig::serial(),
+        );
         let single = crate::experiments::run_table3_with(1, 120, &RunnerConfig::serial());
-        assert_eq!(swept.per_seed[0], single);
-        for (srow, row) in swept.rows.iter().zip(&single.rows) {
-            assert_eq!(srow.method, row.method);
-            assert_eq!(srow.exploration_epochs.n, 1);
-            assert_eq!(
-                srow.exploration_epochs.mean.to_bits(),
-                (row.exploration_epochs as f64).to_bits()
-            );
-            assert_eq!(srow.exploration_epochs.std_dev, 0.0);
+        assert_eq!(swept, [single.metrics()]);
+        let summaries = fold_by_name(&swept);
+        for (name, summary) in &summaries {
+            assert_eq!(summary.n, 1, "{name}");
+            assert_eq!(summary.std_dev, 0.0, "{name}");
         }
+        let (_, rtm) = summaries
+            .iter()
+            .find(|(name, _)| name == "exploration_epochs/rtm")
+            .expect("rtm row");
+        assert_eq!(
+            rtm.mean.to_bits(),
+            (single.rows[1].exploration_epochs as f64).to_bits()
+        );
     }
 
     #[test]
     fn long_horizon_sweep_aggregates_all_methodologies() {
         let sweep = SeedSweep::base(1, 2);
-        let result = run_long_horizon_sweep_with(&sweep, 300, &RunnerConfig::serial());
-        assert_eq!(result.rows.len(), 3);
-        assert_eq!(result.per_seed.len(), 2);
-        for row in &result.rows {
-            assert_eq!(row.normalized_energy.n, 2);
+        let cells = sweep_metrics(
+            Family::LongHorizon,
+            &sweep,
+            300,
+            None,
+            &RunnerConfig::serial(),
+        );
+        assert_eq!(cells.len(), 2);
+        let summaries = fold_by_name(&cells);
+        let table = sweep_table(Family::LongHorizon, &summaries);
+        let keys: Vec<&str> = table.rows().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["ondemand", "conservative", "rtm"]);
+        for (_, row) in table.rows() {
+            assert!(row.iter().all(|s| s.n == 2));
         }
         // Ondemand is the reference at every seed: exactly 1.0, zero
         // spread.
-        let ondemand = &result.rows[0];
-        assert_eq!(ondemand.normalized_energy.mean, 1.0);
-        assert_eq!(ondemand.normalized_energy.std_dev, 0.0);
-        assert!(result.table.render().contains("Proposed"));
+        let ondemand = &table.rows()[0].1[0];
+        assert_eq!((ondemand.mean, ondemand.std_dev), (1.0, 0.0));
     }
 
     #[test]
-    fn single_seed_smoothing_sweep_keeps_the_misprediction_annotation() {
-        // The per-seed annotation is unambiguous at n = 1, and the
-        // single-run bench output relies on it.
-        let result =
-            run_smoothing_ablation_sweep_with(&SeedSweep::single(1), 100, &RunnerConfig::serial());
-        assert!(
-            result
-                .rows
-                .iter()
-                .all(|r| r.label.contains("misprediction")),
-            "{:?}",
-            result.rows.iter().map(|r| &r.label).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn smoothing_sweep_labels_are_seed_independent() {
+    fn smoothing_misprediction_folds_to_one_sample_per_seed() {
         let sweep = SeedSweep::new(vec![1, 9]);
-        let result = run_smoothing_ablation_sweep_with(&sweep, 100, &RunnerConfig::serial());
-        for row in &result.rows {
-            assert!(
-                row.label.starts_with("gamma = ") && !row.label.contains("misprediction"),
-                "{}",
-                row.label
-            );
-            assert_eq!(row.normalized_energy.n, 2);
-        }
+        let cells = sweep_metrics(
+            Family::Smoothing,
+            &sweep,
+            100,
+            None,
+            &RunnerConfig::serial(),
+        );
+        let summaries = fold_by_name(&cells);
+        let (_, misprediction) = summaries
+            .iter()
+            .find(|(name, _)| name == "misprediction/gamma_0_6")
+            .expect("smoothing cells report their misprediction");
+        assert_eq!(misprediction.n, sweep.n() as u64);
+        assert!(misprediction.mean > 0.0);
+        let table = sweep_table(Family::Smoothing, &summaries).render();
+        assert!(table.contains("Misprediction") && table.contains("gamma_0_6"));
     }
 
     #[test]
-    fn strip_misprediction_only_touches_the_annotation() {
-        assert_eq!(
-            strip_misprediction("gamma = 0.60 (misprediction 4.6%)"),
-            "gamma = 0.60"
-        );
-        assert_eq!(
-            strip_misprediction("N = 5 (25 states)"),
-            "N = 5 (25 states)"
-        );
+    fn table_rows_are_metric_keys_and_absent_metrics_render_empty() {
+        let metric = |name: &str, value: f64| (name.to_owned(), value);
+        let cells = [
+            vec![metric("exploration_epochs/geqiu", 205.0)],
+            vec![
+                metric("exploration_epochs/geqiu", 207.0),
+                metric("exploration_epochs/rtm", 105.0),
+                metric("convergence_epochs/rtm", 140.0),
+            ],
+        ];
+        let table = sweep_table(Family::Table3, &fold_by_name(&cells));
+        let rows = table.rows();
+        assert_eq!(rows.len(), 2);
+        assert_eq!((rows[0].0.as_str(), rows[0].1[0].n), ("geqiu", 2));
+        assert!(rows[0].1[1].is_empty(), "never converged: no sample");
+        assert_eq!((rows[1].0.as_str(), rows[1].1[1].n), ("rtm", 1));
+        // Un-keyed metrics form the row named after the family.
+        let fig3 = [vec![metric("early_misprediction", 0.05)]];
+        let table = sweep_table(Family::Fig3, &fold_by_name(&fig3));
+        assert_eq!(table.rows()[0].0, "fig3");
     }
 }

@@ -1,12 +1,10 @@
 //! Journalable experiment work lists with stable cell identities.
 //!
-//! Every experiment family already expands into independent
+//! Every experiment family expands into independent
 //! (governor × seed × frames) cells through
-//! [`ExperimentBatch`](crate::runner::ExperimentBatch) and folds seed
-//! sweeps through [`Aggregate`](crate::sweep::Aggregate) — but those
-//! enumerations live inside each `run_*` function, invisible to an
-//! operator who wants to checkpoint a campaign. This module turns the
-//! same enumeration into a **public, journalable work list**: a
+//! [`ExperimentBatch`](crate::runner::ExperimentBatch), and its result
+//! reduces to one [`CellMetrics`] list per seed. This module turns
+//! that enumeration into a **public, journalable work list**: a
 //! [`WorkList`] names every campaign cell with a stable, re-derivable
 //! ID (`"<family>/seed=<s>/frames=<f>"`, mirroring the batch labels of
 //! [`ExperimentBatch::expand_cells`](crate::runner::ExperimentBatch::expand_cells)),
@@ -36,15 +34,14 @@
 //! ```
 
 use crate::experiments::{
-    run_fig3_with, run_long_horizon_monitored_with, run_long_horizon_with,
-    run_shared_table_ablation_with, run_smoothing_ablation_with, run_state_levels_ablation_with,
-    run_table1_with, run_table2_with, run_table3_with, AblationResult, FIG3_LABELS, GAMMA_LABELS,
-    LEVELS_LABELS, LONG_HORIZON_LABELS, SHARED_LABELS, TABLE1_LABELS, TABLE2_LABELS, TABLE3_LABELS,
+    self as x, FIG3_LABELS, GAMMA_LABELS, LEVELS_LABELS, LONG_HORIZON_LABELS, SHARED_LABELS,
+    TABLE1_LABELS, TABLE2_LABELS, TABLE3_LABELS,
 };
-use crate::faultstorm::{run_fault_storm_with, standard_fault_schedule, FAULTSTORM_LABELS};
-use crate::fleet::{run_fleet, FleetSpec};
-use crate::hetero::{run_biglittle_with, run_mesh_scaling_with, BIGLITTLE_LABELS, MESH_LABELS};
+use crate::faultstorm::{self, standard_fault_schedule, FAULTSTORM_LABELS};
+use crate::fleet::{run_fleet, FleetOutcome, FleetSpec};
+use crate::hetero::{self, BIGLITTLE_LABELS, MESH_LABELS};
 use crate::runner::RunnerConfig;
+use crate::sweep::collect_grid;
 use qgov_core::RtmConfig;
 use qgov_metrics::PackConfig;
 use qgov_sim::{PlatformConfig, SensorConfig};
@@ -286,236 +283,149 @@ impl WorkList {
     }
 
     /// Runs one cell to completion and returns its flat metrics, in
-    /// the family's canonical order. The inner experiment always runs
-    /// serially, so the result is bit-identical however the *campaign*
-    /// schedules cells — the property the journal's bit-exact resume
-    /// contract rests on.
+    /// the family's canonical order: the [`sweep`](crate::sweep)
+    /// dispatch for this one seed under [`RunnerConfig::serial`], so the
+    /// result is bit-identical however the *campaign* schedules cells —
+    /// the property the journal's bit-exact resume contract rests on.
     #[must_use]
     pub fn run_cell(&self, cell: &WorkCell) -> CellMetrics {
         debug_assert_eq!(cell.id, self.cell_id(cell.seed), "foreign cell");
-        let serial = RunnerConfig::serial();
-        let (seed, frames) = (cell.seed, self.frames);
-        let mut out: CellMetrics = Vec::new();
-        let mut push = |name: String, value: f64| out.push((name, value));
-        match self.family {
-            Family::Table1 => {
-                let result = run_table1_with(seed, frames, &serial);
-                for (label, row) in TABLE1_LABELS.iter().zip(&result.rows) {
-                    push(format!("normalized_energy/{label}"), row.normalized_energy);
-                    push(
-                        format!("normalized_performance/{label}"),
-                        row.normalized_performance,
-                    );
-                    push(format!("miss_rate/{label}"), row.miss_rate);
-                    push(format!("mean_opp/{label}"), row.mean_opp);
-                    push(format!("energy_joules/{label}"), row.energy_joules);
-                }
-            }
-            Family::Table2 => {
-                let result = run_table2_with(seed, frames, &serial);
-                // TABLE2_LABELS pairs (app/upd, app/epd) fold into one
-                // row per app; recover the short app key from the pair.
-                let apps: Vec<&str> = TABLE2_LABELS
-                    .iter()
-                    .step_by(2)
-                    .map(|label| label.split('/').next().expect("app/policy label"))
-                    .collect();
-                for (app, row) in apps.iter().zip(&result.rows) {
-                    push(
-                        format!("upd_explorations/{app}"),
-                        row.upd_explorations as f64,
-                    );
-                    push(
-                        format!("epd_explorations/{app}"),
-                        row.epd_explorations as f64,
-                    );
-                }
-            }
-            Family::Table3 => {
-                let result = run_table3_with(seed, frames, &serial);
-                for (label, row) in TABLE3_LABELS.iter().zip(&result.rows) {
-                    push(
-                        format!("exploration_epochs/{label}"),
-                        row.exploration_epochs as f64,
-                    );
-                    if let Some(epochs) = row.convergence_epochs {
-                        push(format!("convergence_epochs/{label}"), epochs as f64);
-                    }
-                }
-            }
-            Family::Fig3 => {
-                let result = run_fig3_with(seed, frames, &serial);
-                debug_assert_eq!(FIG3_LABELS, ["rtm"]);
-                push("early_misprediction".into(), result.early_misprediction);
-                push("late_misprediction".into(), result.late_misprediction);
-                push(
-                    "mispredicted_frames".into(),
-                    result.mispredicted_frames.len() as f64,
-                );
-            }
-            Family::StateLevels => {
-                ablation_metrics(
-                    &run_state_levels_ablation_with(seed, frames, &serial),
-                    LEVELS_LABELS,
-                    &mut push,
-                );
-            }
-            Family::Smoothing => {
-                ablation_metrics(
-                    &run_smoothing_ablation_with(seed, frames, &serial),
-                    GAMMA_LABELS,
-                    &mut push,
-                );
-            }
-            Family::SharedTable => {
-                ablation_metrics(
-                    &run_shared_table_ablation_with(seed, frames, &serial),
-                    SHARED_LABELS,
-                    &mut push,
-                );
-            }
-            Family::LongHorizon => {
-                let result = match &self.pack {
-                    Some(pack) => run_long_horizon_monitored_with(seed, frames, &serial, pack),
-                    None => run_long_horizon_with(seed, frames, &serial),
-                };
-                for (label, row) in LONG_HORIZON_LABELS.iter().zip(&result.rows) {
-                    push(format!("normalized_energy/{label}"), row.normalized_energy);
-                    push(
-                        format!("normalized_performance/{label}"),
-                        row.normalized_performance,
-                    );
-                    push(format!("miss_rate/{label}"), row.miss_rate);
-                    push(format!("mean_opp/{label}"), row.mean_opp);
-                    push(format!("energy_joules/{label}"), row.energy_joules);
-                    push(format!("early_miss_rate/{label}"), row.early_miss_rate);
-                    push(format!("late_miss_rate/{label}"), row.late_miss_rate);
-                    if let Some(monitor) = &row.monitor {
-                        push(
-                            format!("monitor_violations/{label}"),
-                            monitor.violation_count() as f64,
-                        );
-                    }
-                }
-            }
-            Family::BigLittle => {
-                let result = run_biglittle_with(seed, frames, &serial);
-                for (label, row) in BIGLITTLE_LABELS.iter().zip(&result.rows) {
-                    let key = slug(label);
-                    push(format!("normalized_energy/{key}"), row.normalized_energy);
-                    push(format!("miss_rate/{key}"), row.miss_rate);
-                    push(format!("energy_joules/{key}"), row.energy_joules);
-                    push(
-                        format!("energy_per_met_frame/{key}"),
-                        row.energy_per_met_frame,
-                    );
-                    push(format!("migrations/{key}"), row.migrations as f64);
-                    push(format!("final_big_share/{key}"), row.final_big_share);
-                }
-            }
-            Family::MeshScaling => {
-                let result = run_mesh_scaling_with(seed, frames, &serial);
-                for (label, row) in MESH_LABELS.iter().zip(&result.rows) {
-                    let key = slug(label);
-                    push(format!("energy_joules/{key}"), row.energy_joules);
-                    push(format!("energy_per_cluster/{key}"), row.energy_per_cluster);
-                    push(format!("miss_rate/{key}"), row.miss_rate);
-                    push(format!("migrations/{key}"), row.migrations as f64);
-                }
-            }
-            Family::FaultStorm => {
-                // Always the standard schedule, never the env override:
-                // journal cells must re-derive bit-identically.
-                let plan = standard_fault_schedule(frames);
-                let result = run_fault_storm_with(seed, frames, &plan, &serial);
-                for (label, row) in FAULTSTORM_LABELS.iter().zip(&result.rows) {
-                    let key = slug(label);
-                    push(format!("energy_joules/{key}"), row.energy_joules);
-                    push(format!("miss_rate/{key}"), row.miss_rate);
-                    push(
-                        format!("post_drop_miss_rate/{key}"),
-                        row.post_drop_miss_rate,
-                    );
-                    push(
-                        format!("degraded_epochs/{key}"),
-                        row.recovery.degraded_epochs as f64,
-                    );
-                    push(
-                        format!("safe_state_epochs/{key}"),
-                        row.safe_state_epochs as f64,
-                    );
-                    push(
-                        format!("worst_excursion/{key}"),
-                        row.recovery.worst_excursion,
-                    );
-                    if let Some(epochs) = row.recovery.time_to_recover {
-                        push(format!("time_to_recover/{key}"), epochs as f64);
-                    }
-                    if let Some(monitor) = &row.monitor {
-                        push(
-                            format!("monitor_violations/{key}"),
-                            monitor.violation_count() as f64,
-                        );
-                    }
-                }
-            }
-            Family::Fleet => {
-                let instance_seeds: Vec<u64> = (0..self.fleet as u64)
-                    .map(|i| seed.wrapping_add(i))
-                    .collect();
-                let spec = FleetSpec::uniform(
-                    &fleet_cell_config(0),
-                    &instance_seeds,
-                    &fleet_cell_platform(),
-                    frames,
-                    |s| Box::new(fleet_cell_app(s, frames)),
-                );
-                let outcome = run_fleet(spec, &serial);
-                for (i, report) in outcome.reports.iter().enumerate() {
-                    push(format!("miss_rate/i{i}"), report.miss_rate());
-                    push(
-                        format!("normalized_performance/i{i}"),
-                        report.normalized_performance(),
-                    );
-                    push(format!("mean_opp/i{i}"), report.mean_opp());
-                    push(
-                        format!("energy_joules/i{i}"),
-                        report.total_energy().as_joules(),
-                    );
-                }
-                push(
-                    "fleet_mean_miss_rate".into(),
-                    outcome.summarize(qgov_metrics::RunReport::miss_rate).mean,
-                );
-                push("fleet_total_frames".into(), outcome.total_frames as f64);
-            }
-        }
-        debug_assert!(
-            out.iter()
-                .all(|(name, _)| !name.contains(['=', ' ', '\t', '\n'])),
-            "metric names must stay journal-token safe"
+        let mut metrics = family_metrics(
+            self.family,
+            &[cell.seed],
+            self.frames,
+            self.fleet,
+            self.pack.as_ref(),
+            &RunnerConfig::serial(),
         );
-        out
+        metrics.pop().expect("one seed, one cell")
     }
 }
 
-/// Folds an ablation bundle (rows in `labels` order, Oracle first)
-/// into flat metrics.
-fn ablation_metrics(result: &AblationResult, labels: &[&str], push: &mut impl FnMut(String, f64)) {
-    debug_assert_eq!(result.rows.len(), labels.len());
-    for (label, row) in labels.iter().zip(&result.rows) {
-        let key = slug(label);
-        push(format!("normalized_energy/{key}"), row.normalized_energy);
-        push(
-            format!("normalized_performance/{key}"),
-            row.normalized_performance,
-        );
-        push(format!("miss_rate/{key}"), row.miss_rate);
-        push(format!("explorations/{key}"), row.explorations as f64);
-        if let Some(epochs) = row.convergence_epochs {
-            push(format!("convergence_epochs/{key}"), epochs as f64);
-        }
+/// The one family dispatch: runs `family` for every seed through one
+/// flattened seed × label job queue ([`collect_grid`]) and maps each
+/// seed's assembled result through its `metrics()` — one
+/// [`CellMetrics`] per seed, in seed order. `fleet` sizes
+/// [`Family::Fleet`] cells; `pack` monitors [`Family::LongHorizon`]
+/// cells; other families ignore both. [`Family::FaultStorm`] always
+/// replays the standard schedule, never the `QGOV_FAULTS` override, so
+/// journal cells re-derive bit-identically.
+pub(crate) fn family_metrics(
+    family: Family,
+    seeds: &[u64],
+    frames: u64,
+    fleet: usize,
+    pack: Option<&PackConfig>,
+    runner: &RunnerConfig,
+) -> Vec<CellMetrics> {
+    // Every arm runs the same seed × label grid; only the family's
+    // labels and prepare / cell / assemble providers differ.
+    macro_rules! grid {
+        ($labels:expr, $prepare:expr, $cell:expr, $assemble:expr $(,)?) => {
+            collect_grid($labels, seeds, frames, runner, $prepare, $cell, $assemble)
+        };
     }
+    let metrics = match family {
+        Family::Table1 => grid!(
+            TABLE1_LABELS,
+            x::football_prepare,
+            x::table1_cell,
+            |_, cells| x::table1_assemble(cells).metrics(),
+        ),
+        Family::Table2 => grid!(
+            TABLE2_LABELS,
+            x::table2_prepare,
+            |label, prep: &Vec<_>, seed, frames| x::table2_cell(label, prep, seed, frames),
+            |_, cells| x::table2_assemble(cells).metrics(),
+        ),
+        Family::Table3 => grid!(
+            TABLE3_LABELS,
+            x::table3_prepare,
+            x::table3_cell,
+            |_, cells| x::table3_assemble(cells).metrics(),
+        ),
+        Family::Fig3 => grid!(FIG3_LABELS, x::svga_prepare, x::fig3_cell, |_, cells| {
+            x::fig3_assemble(cells).metrics()
+        }),
+        Family::StateLevels => grid!(
+            LEVELS_LABELS,
+            x::football_prepare,
+            x::levels_ablation_cell,
+            |_, cells| x::levels_ablation_assemble(cells).metrics(),
+        ),
+        Family::Smoothing => grid!(
+            GAMMA_LABELS,
+            x::svga_prepare,
+            x::smoothing_ablation_cell,
+            |_, cells| x::smoothing_ablation_assemble(cells).metrics(),
+        ),
+        Family::SharedTable => grid!(
+            SHARED_LABELS,
+            x::football_prepare,
+            x::shared_ablation_cell,
+            |_, cells| x::shared_ablation_assemble(cells).metrics(),
+        ),
+        Family::LongHorizon => grid!(
+            LONG_HORIZON_LABELS,
+            x::long_horizon_prepare,
+            |label, prep, seed, frames| x::long_horizon_cell(label, prep, seed, frames, pack),
+            |prep, reports| x::long_horizon_assemble(prep, frames, reports).metrics(),
+        ),
+        Family::BigLittle => grid!(
+            BIGLITTLE_LABELS,
+            hetero::biglittle_prepare,
+            |label, prep, seed, frames| hetero::biglittle_cell(label, prep, seed, frames, None),
+            |_, cells| hetero::biglittle_assemble(cells).metrics(),
+        ),
+        Family::MeshScaling => grid!(
+            MESH_LABELS,
+            hetero::mesh_prepare,
+            |label, preps: &Vec<_>, seed, frames| {
+                hetero::mesh_cell(label, preps, seed, frames, None)
+            },
+            |_, cells| hetero::mesh_assemble(cells).metrics(),
+        ),
+        Family::FaultStorm => {
+            let plan = standard_fault_schedule(frames);
+            let pack = PackConfig::paper();
+            grid!(
+                FAULTSTORM_LABELS,
+                faultstorm::faultstorm_prepare,
+                |label, prep, seed, frames| {
+                    faultstorm::faultstorm_cell(label, prep, seed, frames, &plan, &pack)
+                },
+                |_, cells| faultstorm::faultstorm_assemble(frames, cells).metrics(),
+            )
+        }
+        Family::Fleet => grid!(
+            &["fleet"],
+            |_, _| (),
+            |_, (), seed, frames| fleet_cell(seed, frames, fleet),
+            |(), mut outcomes| outcomes.remove(0).metrics(),
+        ),
+    };
+    debug_assert!(
+        metrics
+            .iter()
+            .flatten()
+            .all(|(name, _)| !name.contains(['=', ' ', '\t', '\n'])),
+        "metric names must stay journal-token safe"
+    );
+    metrics
+}
+
+/// One [`Family::Fleet`] cell: `fleet` lockstep instances seeded
+/// `seed, seed + 1, …`, run serially.
+fn fleet_cell(seed: u64, frames: u64, fleet: usize) -> FleetOutcome {
+    let instance_seeds: Vec<u64> = (0..fleet as u64).map(|i| seed.wrapping_add(i)).collect();
+    let spec = FleetSpec::uniform(
+        &fleet_cell_config(0),
+        &instance_seeds,
+        &fleet_cell_platform(),
+        frames,
+        |s| Box::new(fleet_cell_app(s, frames)),
+    );
+    run_fleet(spec, &RunnerConfig::serial())
 }
 
 /// Reduces a label to a journal-safe metric key: ASCII-lowercased,
@@ -645,6 +555,69 @@ mod tests {
         assert!(metrics
             .iter()
             .any(|(n, _)| n == "monitor_violations/ondemand"));
+    }
+
+    #[test]
+    fn ablation_cells_key_metrics_by_the_non_oracle_labels() {
+        let (seed, frames) = (3, 40);
+        let serial = RunnerConfig::serial();
+        let cases: [(Family, &[&str], x::AblationResult); 3] = [
+            (
+                Family::StateLevels,
+                &["n_3", "n_4", "n_5", "n_7", "n_9"],
+                x::run_state_levels_ablation_with(seed, frames, &serial),
+            ),
+            (
+                Family::Smoothing,
+                &[
+                    "gamma_0_2",
+                    "gamma_0_4",
+                    "gamma_0_6",
+                    "gamma_0_8",
+                    "gamma_0_95",
+                ],
+                x::run_smoothing_ablation_with(seed, frames, &serial),
+            ),
+            (
+                Family::SharedTable,
+                &["cluster", "per_core_share", "geqiu"],
+                x::run_shared_table_ablation_with(seed, frames, &serial),
+            ),
+        ];
+        for (family, keys, typed) in cases {
+            let list = WorkList::new(family, vec![seed], frames);
+            let metrics = list.run_cell(&list.cells()[0]);
+            let mut found: Vec<&str> = Vec::new();
+            for (name, _) in &metrics {
+                let (_, key) = name.split_once('/').expect("keyed metric");
+                if !found.contains(&key) {
+                    found.push(key);
+                }
+            }
+            assert_eq!(found, keys, "{family}");
+            let first = format!("normalized_energy/{}", keys[0]);
+            let (_, value) = metrics.iter().find(|(n, _)| *n == first).unwrap();
+            assert_eq!(
+                value.to_bits(),
+                typed.rows[0].normalized_energy.to_bits(),
+                "{family}"
+            );
+        }
+    }
+
+    #[test]
+    fn table2_cell_reports_the_pairwise_epd_upd_ratio() {
+        let list = WorkList::new(Family::Table2, vec![5], 80);
+        let metrics = list.run_cell(&list.cells()[0]);
+        let value = |name: &str| metrics.iter().find(|(n, _)| n == name).unwrap().1;
+        for app in ["mpeg4", "h264", "fft"] {
+            let ratio = value(&format!("epd_explorations/{app}"))
+                / value(&format!("upd_explorations/{app}"));
+            assert_eq!(
+                value(&format!("epd_upd_ratio/{app}")).to_bits(),
+                ratio.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::journal::{self, CellRecord, JournalError, JournalWriter};
 use qgov_bench::perf::BenchRecord;
 use qgov_bench::worklist::Family;
 use qgov_bench::{ExperimentBatch, RunnerConfig};
-use qgov_metrics::{MetricSummary, SweepFormat, SweepTable};
+use qgov_metrics::{fold_by_name, MetricSummary, SweepFormat, SweepTable};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -350,10 +350,7 @@ pub fn bench_records(
 ) -> Result<Vec<BenchRecord>, CampaignError> {
     let (summaries, _, _) = fold_summaries(dir, config)?;
     let target = format!("campaign/{}", config.name);
-    Ok(summaries
-        .into_iter()
-        .map(|(metric, summary)| BenchRecord::from_summary(&target, metric, &summary))
-        .collect())
+    Ok(BenchRecord::from_summaries(&target, &summaries))
 }
 
 /// Outcome of diffing one campaign's journaled metrics against another
@@ -489,36 +486,15 @@ pub fn diff_against(
 /// (completed, total) cell counts.
 type FoldedSummaries = (Vec<(String, MetricSummary)>, usize, usize);
 
-/// Folds journaled cells into per-metric summaries: metric order is
-/// first appearance scanning cells in **work-list order**, samples per
-/// metric likewise — deterministic however the journal was laid down.
+/// Folds journaled cells into per-metric summaries with
+/// [`fold_by_name`], scanning cells in **work-list order** —
+/// deterministic however the journal was laid down.
 fn fold_summaries(dir: &Path, config: &CampaignConfig) -> Result<FoldedSummaries, CampaignError> {
     let done = progress(dir, config)?;
     let cells = config.worklist().cells();
-    let total = cells.len();
-    let mut order: Vec<String> = Vec::new();
-    let mut samples: HashMap<String, Vec<f64>> = HashMap::new();
-    let mut completed = 0usize;
-    for cell in &cells {
-        let Some(record) = done.cells.get(&cell.id) else {
-            continue;
-        };
-        completed += 1;
-        for (name, value) in &record.metrics {
-            if !samples.contains_key(name) {
-                order.push(name.clone());
-            }
-            samples.entry(name.clone()).or_default().push(*value);
-        }
-    }
-    let summaries = order
-        .into_iter()
-        .map(|name| {
-            let summary = MetricSummary::from_samples(&samples[&name]);
-            (name, summary)
-        })
-        .collect();
-    Ok((summaries, completed, total))
+    let records: Vec<&CellRecord> = cells.iter().filter_map(|c| done.cells.get(&c.id)).collect();
+    let summaries = fold_by_name(records.iter().map(|r| &r.metrics));
+    Ok((summaries, records.len(), cells.len()))
 }
 
 fn fold_metrics(

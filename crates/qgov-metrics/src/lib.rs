@@ -15,7 +15,9 @@
 //!   with;
 //! * [`SampleStats`] / [`MetricSummary`] / [`SweepTable`] — the
 //!   order-invariant cross-seed aggregation layer (`mean ± σ (n)`
-//!   cells, p50/p95 quantiles, CI half-widths);
+//!   cells, p50/p95 quantiles, CI half-widths), and [`fold_by_name`],
+//!   the one fold from per-cell `(metric, value)` lists to per-metric
+//!   summaries that seed sweeps and campaign reports share;
 //! * [`WindowedStats`] — fixed-length windowed folds in O(windows)
 //!   memory, the convergence-over-time view long-horizon streamed
 //!   experiments report;
@@ -55,6 +57,6 @@ pub use recovery::{RecoveryConfig, RecoveryStats, RecoveryTracker};
 pub use report::{FrameStat, FrameWindows, RunReport};
 pub use series::Series;
 pub use stats::{t_critical_975, OnlineStats};
-pub use sweep::{MetricSummary, SampleStats, SweepFormat, SweepTable};
+pub use sweep::{fold_by_name, MetricSummary, SampleStats, SweepFormat, SweepTable};
 pub use table::ComparisonTable;
 pub use window::{WindowSummary, WindowedStats};

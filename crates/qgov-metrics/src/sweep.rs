@@ -15,6 +15,7 @@
 
 use crate::stats::OnlineStats;
 use crate::table::ComparisonTable;
+use std::collections::HashMap;
 
 /// A keep-all-samples accumulator: everything [`OnlineStats`] offers
 /// plus order statistics ([`SampleStats::quantile`]), for the small
@@ -240,6 +241,52 @@ impl MetricSummary {
             ),
         }
     }
+}
+
+/// Folds per-cell `(metric name, value)` lists into one
+/// [`MetricSummary`] per metric name: metrics in first-appearance order
+/// scanning the cells in order, each metric's samples in cell order. A
+/// metric a cell does not report (e.g. a convergence epoch that was
+/// never reached) simply contributes no sample, so the summary's `n`
+/// counts the cells that did.
+///
+/// # Examples
+///
+/// ```
+/// use qgov_metrics::fold_by_name;
+///
+/// let cells = vec![
+///     vec![("energy/rtm".to_owned(), 1.0), ("misses/rtm".to_owned(), 0.5)],
+///     vec![("energy/rtm".to_owned(), 3.0)],
+/// ];
+/// let folded = fold_by_name(&cells);
+/// assert_eq!(folded[0].0, "energy/rtm");
+/// assert_eq!((folded[0].1.mean, folded[0].1.n), (2.0, 2));
+/// assert_eq!((folded[1].0.as_str(), folded[1].1.n), ("misses/rtm", 1));
+/// ```
+#[must_use]
+pub fn fold_by_name<I>(cells: I) -> Vec<(String, MetricSummary)>
+where
+    I: IntoIterator,
+    I::Item: AsRef<[(String, f64)]>,
+{
+    let mut order: Vec<String> = Vec::new();
+    let mut samples: HashMap<String, Vec<f64>> = HashMap::new();
+    for cell in cells {
+        for (name, value) in cell.as_ref() {
+            if !samples.contains_key(name) {
+                order.push(name.clone());
+            }
+            samples.entry(name.clone()).or_default().push(*value);
+        }
+    }
+    order
+        .into_iter()
+        .map(|name| {
+            let summary = MetricSummary::from_samples(&samples[&name]);
+            (name, summary)
+        })
+        .collect()
 }
 
 /// How a [`SweepTable`] column formats its summaries.
@@ -554,6 +601,25 @@ mod tests {
         assert!(csv.lines().nth(1).unwrap().starts_with("Proposed,1.19,"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn fold_by_name_keeps_first_appearance_order_and_skips_absent_metrics() {
+        let cell = |pairs: &[(&str, f64)]| -> Vec<(String, f64)> {
+            pairs.iter().map(|&(n, v)| (n.to_owned(), v)).collect()
+        };
+        let cells = [
+            cell(&[("b", 2.0), ("a", 1.0)]),
+            cell(&[("a", 3.0), ("c", 7.0)]),
+            cell(&[("b", 4.0)]),
+        ];
+        let folded = fold_by_name(&cells);
+        let names: Vec<&str> = folded.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["b", "a", "c"]);
+        assert_eq!(folded[0].1, MetricSummary::from_samples(&[2.0, 4.0]));
+        assert_eq!(folded[1].1, MetricSummary::from_samples(&[1.0, 3.0]));
+        assert_eq!(folded[2].1.n, 1);
+        assert!(fold_by_name(Vec::<Vec<(String, f64)>>::new()).is_empty());
     }
 
     #[test]

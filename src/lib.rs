@@ -63,16 +63,14 @@ pub mod prelude {
     //! The types almost every experiment needs.
 
     pub use qgov_bench::experiments::{
-        run_fig3, run_fig3_with, run_long_horizon, run_long_horizon_monitored,
-        run_long_horizon_monitored_with, run_long_horizon_with, run_shared_table_ablation,
-        run_shared_table_ablation_with, run_smoothing_ablation, run_smoothing_ablation_with,
-        run_state_levels_ablation, run_state_levels_ablation_with, run_table1, run_table1_with,
-        run_table2, run_table2_with, run_table3, run_table3_with,
+        run_fig3, run_fig3_with, run_long_horizon_monitored_with, run_long_horizon_with,
+        run_shared_table_ablation, run_shared_table_ablation_with, run_smoothing_ablation,
+        run_smoothing_ablation_with, run_state_levels_ablation, run_state_levels_ablation_with,
+        run_table1, run_table1_with, run_table2, run_table2_with, run_table3, run_table3_with,
     };
     pub use qgov_bench::faultstorm::{
-        fault_plan_from_env, fault_storm_app, fault_storm_drop_epoch, run_fault_storm,
-        run_fault_storm_with, standard_fault_schedule, FaultStormResult, FaultStormRow,
-        FAULTSTORM_GRACE,
+        fault_plan_from_env, fault_storm_app, fault_storm_drop_epoch, run_fault_storm_with,
+        standard_fault_schedule, FaultStormResult, FaultStormRow, FAULTSTORM_GRACE,
     };
     pub use qgov_bench::fleet::{
         fleet_size_from_env, run_fleet, FleetEngine, FleetInstance, FleetOutcome, FleetSpec,
@@ -82,11 +80,8 @@ pub mod prelude {
         run_experiment_monitored, ExperimentOutcome,
     };
     pub use qgov_bench::hetero::{
-        run_biglittle, run_biglittle_monitored, run_biglittle_monitored_with, run_biglittle_sweep,
-        run_biglittle_sweep_with, run_biglittle_with, run_mesh_scaling, run_mesh_scaling_monitored,
-        run_mesh_scaling_monitored_with, run_mesh_scaling_sweep, run_mesh_scaling_sweep_with,
-        run_mesh_scaling_with, BigLittleResult, BigLittleRow, BigLittleSweep, BigLittleSweepRow,
-        MeshRow, MeshScalingResult, MeshSweep, MeshSweepRow,
+        run_biglittle_monitored_with, run_biglittle_with, run_mesh_scaling_monitored_with,
+        run_mesh_scaling_with, BigLittleResult, BigLittleRow, MeshRow, MeshScalingResult,
     };
     pub use qgov_bench::manycore::{
         run_manycore_experiment, run_manycore_experiment_faulted,
@@ -94,15 +89,7 @@ pub mod prelude {
         ManyCoreOutcome,
     };
     pub use qgov_bench::runner::{frames_from_env, ExperimentBatch, RunnerConfig, RunnerMode};
-    pub use qgov_bench::sweep::{
-        run_fig3_sweep, run_fig3_sweep_with, run_long_horizon_monitored_sweep_with,
-        run_long_horizon_sweep, run_long_horizon_sweep_with, run_shared_table_ablation_sweep,
-        run_shared_table_ablation_sweep_with, run_smoothing_ablation_sweep,
-        run_smoothing_ablation_sweep_with, run_state_levels_ablation_sweep,
-        run_state_levels_ablation_sweep_with, run_table1_sweep, run_table1_sweep_with,
-        run_table2_sweep, run_table2_sweep_with, run_table3_sweep, run_table3_sweep_with,
-        Aggregate, SeedSweep,
-    };
+    pub use qgov_bench::sweep::{sweep_metrics, sweep_table, SeedSweep};
     pub use qgov_bench::worklist::{
         fleet_cell_app, fleet_cell_config, fleet_cell_platform, slug, CellMetrics, Family,
         WorkCell, WorkList,
@@ -118,7 +105,7 @@ pub mod prelude {
         SlackTracker, UserspaceGovernor, VfDecision,
     };
     pub use qgov_metrics::{
-        converged_miss_rate, epsilon_monotone, epsilon_reaches_floor, opp_step_bound,
+        converged_miss_rate, epsilon_monotone, epsilon_reaches_floor, fold_by_name, opp_step_bound,
         recovery_pack, standard_pack, thermal_cap, ComparisonTable, MetricSummary,
         MispredictionStats, MonitorReport, MonitorSample, OnlineStats, PackConfig, Property,
         PropertySet, PropertyVerdict, RecoveryConfig, RecoveryStats, RecoveryTracker, RunReport,

@@ -18,77 +18,85 @@ const FRAMES: u64 = 240;
 #[test]
 fn learned_migration_beats_both_static_placements() {
     let sweep = SeedSweep::base(2017, 3);
-    let result = run_biglittle_sweep(&sweep, FRAMES);
-    assert_eq!(result.seeds.len(), 3);
-    assert_eq!(result.rows.len(), 3);
+    let cells = sweep_metrics(
+        Family::BigLittle,
+        &sweep,
+        FRAMES,
+        None,
+        &RunnerConfig::from_env(),
+    );
+    assert_eq!(cells.len(), 3);
+    let folded = fold_by_name(&cells);
+    assert_eq!(sweep_table(Family::BigLittle, &folded).len(), 3);
 
-    let row = |label: &str| {
-        result
-            .rows
-            .iter()
-            .find(|r| r.placement == label)
-            .unwrap_or_else(|| panic!("missing placement row {label}"))
+    let row = |placement: &'static str| {
+        let folded = &folded;
+        move |metric: &str| {
+            let name = format!("{metric}/{placement}");
+            folded
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, s)| *s)
+                .unwrap_or_else(|| panic!("missing {name}"))
+        }
     };
-    let big = row("Big-only (A15 quad)");
-    let little = row("LITTLE-only (A7 quad)");
-    let learned = row("Learned migration (proposed)");
+    let big = row("big_only");
+    let little = row("little_only");
+    let learned = row("rtm_migrate");
 
     // Energy: learned migration undercuts the big-only placement on
     // every aggregate (the A7 quad absorbs work at a fraction of the
     // A15's cube-law cost).
     assert!(
-        learned.energy_joules.mean < big.energy_joules.mean,
+        learned("energy_joules").mean < big("energy_joules").mean,
         "learned migration must save energy vs big-only: {:.2} J vs {:.2} J",
-        learned.energy_joules.mean,
-        big.energy_joules.mean
+        learned("energy_joules").mean,
+        big("energy_joules").mean
     );
     assert!(
-        learned.normalized_energy.mean < 0.95,
+        learned("normalized_energy").mean < 0.95,
         "savings should be material, got {:.3}× big-only",
-        learned.normalized_energy.mean
+        learned("normalized_energy").mean
     );
 
     // Deadlines: comparable or better than big-only. A generous slack
     // margin (5 pp) keeps the bound honest across seeds without making
     // the test flaky.
     assert!(
-        learned.miss_rate.mean <= big.miss_rate.mean + 0.05,
+        learned("miss_rate").mean <= big("miss_rate").mean + 0.05,
         "learned miss rate {:.3} must stay comparable to big-only {:.3}",
-        learned.miss_rate.mean,
-        big.miss_rate.mean
+        learned("miss_rate").mean,
+        big("miss_rate").mean
     );
 
     // LITTLE-only is structurally infeasible for this workload (demand
     // exceeds the A7 quad's capacity), so it drowns in misses and pays
     // more per frame it actually delivers.
     assert!(
-        little.miss_rate.mean > 0.5,
+        little("miss_rate").mean > 0.5,
         "the scaled decode must overwhelm the A7 quad, miss rate {:.3}",
-        little.miss_rate.mean
+        little("miss_rate").mean
     );
     assert!(
-        learned.energy_per_met_frame.mean < little.energy_per_met_frame.mean,
+        learned("energy_per_met_frame").mean < little("energy_per_met_frame").mean,
         "learned J/met-frame {:.4} must beat LITTLE-only {:.4}",
-        learned.energy_per_met_frame.mean,
-        little.energy_per_met_frame.mean
+        learned("energy_per_met_frame").mean,
+        little("energy_per_met_frame").mean
     );
 
     // Every seed individually shows the energy win, not just the mean.
-    for (seed, per_seed) in result.seeds.iter().zip(&result.per_seed) {
-        let find = |label: &str| {
-            per_seed
-                .rows
-                .iter()
-                .find(|r| r.placement == label)
-                .unwrap_or_else(|| panic!("seed {seed}: missing {label}"))
+    for (seed, cell) in sweep.seeds().iter().zip(&cells) {
+        let energy = |placement: &str| {
+            let name = format!("energy_joules/{placement}");
+            cell.iter()
+                .find(|(n, _)| *n == name)
+                .unwrap_or_else(|| panic!("seed {seed}: missing {name}"))
+                .1
         };
-        let learned = find("Learned migration (proposed)");
-        let big = find("Big-only (A15 quad)");
+        let (learned, big) = (energy("rtm_migrate"), energy("big_only"));
         assert!(
-            learned.energy_joules < big.energy_joules,
-            "seed {seed}: learned {:.2} J must undercut big-only {:.2} J",
-            learned.energy_joules,
-            big.energy_joules
+            learned < big,
+            "seed {seed}: learned {learned:.2} J must undercut big-only {big:.2} J"
         );
     }
 }

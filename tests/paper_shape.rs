@@ -126,6 +126,15 @@ fn fig3_shape() {
     );
 }
 
+/// Looks up one folded metric by name.
+fn metric(folded: &[(String, MetricSummary)], name: &str) -> MetricSummary {
+    folded
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, s)| *s)
+        .unwrap_or_else(|| panic!("metric {name} missing"))
+}
+
 /// Table I's energy ranking must hold for the *mean over five seeds*,
 /// not just seed 42/2017: stochastic exploration may perturb a single
 /// run, but the paper's claim is about the method, so the cross-seed
@@ -134,65 +143,61 @@ fn fig3_shape() {
 #[test]
 fn table1_energy_ranking_holds_in_the_mean_over_five_seeds() {
     let sweep = SeedSweep::base(2017, 5);
-    let result = run_table1_sweep(&sweep, 1_200);
-    let find = |needle: &str| {
-        result
-            .rows
-            .iter()
-            .find(|r| r.method.contains(needle))
-            .unwrap_or_else(|| panic!("row {needle} missing"))
-    };
-    let ondemand = find("Ondemand");
-    let geqiu = find("Multi-core");
-    let proposed = find("Proposed");
-    let oracle = find("Oracle");
+    let cells = sweep_metrics(
+        Family::Table1,
+        &sweep,
+        1_200,
+        None,
+        &RunnerConfig::from_env(),
+    );
+    let folded = fold_by_name(&cells);
+    let energy = |method: &str| metric(&folded, &format!("normalized_energy/{method}"));
+    let performance = |method: &str| metric(&folded, &format!("normalized_performance/{method}"));
+    let ondemand = energy("ondemand");
+    let geqiu = energy("geqiu");
+    let proposed = energy("rtm");
+    let oracle = energy("oracle");
 
-    for row in [ondemand, geqiu, proposed, oracle] {
-        assert_eq!(row.normalized_energy.n, 5, "{}", row.method);
+    for method in ["ondemand", "geqiu", "rtm", "oracle"] {
+        assert_eq!(energy(method).n, 5, "{method}");
     }
     // Oracle normalisation is exact at every seed: the constant-series
     // aggregate is 1.0 with zero spread.
-    assert!((oracle.normalized_energy.mean - 1.0).abs() < 1e-9);
-    assert_eq!(oracle.normalized_energy.std_dev, 0.0);
+    assert!((oracle.mean - 1.0).abs() < 1e-9);
+    assert_eq!(oracle.std_dev, 0.0);
 
     assert!(
-        proposed.normalized_energy.mean < ondemand.normalized_energy.mean,
+        proposed.mean < ondemand.mean,
         "mean energy: proposed {:.3} must beat ondemand {:.3}",
-        proposed.normalized_energy.mean,
-        ondemand.normalized_energy.mean
+        proposed.mean,
+        ondemand.mean
     );
     assert!(
-        proposed.normalized_energy.mean < geqiu.normalized_energy.mean,
+        proposed.mean < geqiu.mean,
         "mean energy: proposed {:.3} must beat multi-core DVFS {:.3}",
-        proposed.normalized_energy.mean,
-        geqiu.normalized_energy.mean
+        proposed.mean,
+        geqiu.mean
     );
     // The ordering is not a lucky-seed artefact: even the proposed
     // approach's *worst* seed beats both baselines' *best* seeds.
-    let worst_baseline_best = ondemand
-        .normalized_energy
-        .min
-        .min(geqiu.normalized_energy.min);
+    let worst_baseline_best = ondemand.min.min(geqiu.min);
     assert!(
-        proposed.normalized_energy.max < worst_baseline_best,
+        proposed.max < worst_baseline_best,
         "proposed worst seed ({:.3}) must still beat the baselines' best ({:.3})",
-        proposed.normalized_energy.max,
+        proposed.max,
         worst_baseline_best
     );
     // Mean savings stay material (> 5 %) against the worst baseline.
-    let worst = ondemand
-        .normalized_energy
-        .mean
-        .max(geqiu.normalized_energy.mean);
+    let worst = ondemand.mean.max(geqiu.mean);
     assert!(
-        (worst - proposed.normalized_energy.mean) / worst > 0.05,
+        (worst - proposed.mean) / worst > 0.05,
         "expected >5% mean saving, got {:.1}%",
-        (worst - proposed.normalized_energy.mean) / worst * 100.0
+        (worst - proposed.mean) / worst * 100.0
     );
     // Proposed runs closest to the deadline in the mean.
     assert!(
-        proposed.normalized_performance.mean > ondemand.normalized_performance.mean
-            && proposed.normalized_performance.mean > geqiu.normalized_performance.mean
+        performance("rtm").mean > performance("ondemand").mean
+            && performance("rtm").mean > performance("geqiu").mean
     );
 }
 
@@ -202,30 +207,32 @@ fn table1_energy_ranking_holds_in_the_mean_over_five_seeds() {
 #[test]
 fn table2_epd_beats_upd_in_the_mean_over_five_seeds() {
     let sweep = SeedSweep::base(2017, 5);
-    let result = run_table2_sweep(&sweep, 600);
-    assert_eq!(result.rows.len(), 3);
-    for row in &result.rows {
-        assert_eq!(row.epd_explorations.n, 5, "{}", row.app);
+    let cells = sweep_metrics(Family::Table2, &sweep, 600, None, &RunnerConfig::from_env());
+    let folded = fold_by_name(&cells);
+    let apps = ["mpeg4", "h264", "fft"];
+    assert_eq!(sweep_table(Family::Table2, &folded).len(), apps.len());
+    for app in apps {
+        let epd = metric(&folded, &format!("epd_explorations/{app}"));
+        let upd = metric(&folded, &format!("upd_explorations/{app}"));
+        let ratio = metric(&folded, &format!("epd_upd_ratio/{app}"));
+        assert_eq!(epd.n, 5, "{app}");
         assert!(
-            row.epd_explorations.mean < row.upd_explorations.mean,
-            "{}: mean EPD ({:.1}) must explore less than mean UPD ({:.1})",
-            row.app,
-            row.epd_explorations.mean,
-            row.upd_explorations.mean
+            epd.mean < upd.mean,
+            "{app}: mean EPD ({:.1}) must explore less than mean UPD ({:.1})",
+            epd.mean,
+            upd.mean
         );
         // The per-seed pairwise ratio stays a meaningful reduction on
         // average, and no single seed inverts the ordering.
         assert!(
-            row.epd_upd_ratio.mean < 0.95,
-            "{}: mean reduction too small (ratio {:.2})",
-            row.app,
-            row.epd_upd_ratio.mean
+            ratio.mean < 0.95,
+            "{app}: mean reduction too small (ratio {:.2})",
+            ratio.mean
         );
         assert!(
-            row.epd_upd_ratio.max < 1.0,
-            "{}: some seed inverted EPD < UPD (worst ratio {:.2})",
-            row.app,
-            row.epd_upd_ratio.max
+            ratio.max < 1.0,
+            "{app}: some seed inverted EPD < UPD (worst ratio {:.2})",
+            ratio.max
         );
     }
 }
@@ -236,10 +243,27 @@ fn ablations_run_and_point_the_right_way() {
     // Shared table converges in fewer epochs than per-core tables.
     let shared = run_shared_table_ablation(7, 500);
     assert_eq!(shared.rows.len(), 3);
+    let epochs = |i: usize| shared.rows[i].convergence_epochs.unwrap_or(u64::MAX);
+    assert!(
+        epochs(0) < epochs(2) && epochs(1) < epochs(2),
+        "shared tables must converge before per-core tables: {:?}",
+        shared.rows
+    );
 
-    // Smoothing sweep: gamma = 0.6 must not be the worst choice.
+    // Smoothing sweep: gamma = 0.6 must not have the worst
+    // misprediction.
     let smoothing = run_smoothing_ablation(7, 300);
     assert_eq!(smoothing.rows.len(), 5);
+    let misprediction: Vec<f64> = smoothing
+        .rows
+        .iter()
+        .map(|r| r.misprediction.expect("every gamma row reports it"))
+        .collect();
+    let worst = misprediction.iter().copied().fold(f64::MIN, f64::max);
+    assert!(
+        misprediction[2] < worst,
+        "gamma = 0.6 has the worst misprediction: {misprediction:?}"
+    );
 
     // N sweep produces all rows with sane numbers.
     let levels = run_state_levels_ablation(7, 400);

@@ -1,8 +1,10 @@
-//! The multi-seed sweep layer's determinism guarantees, end to end:
+//! The multi-seed sweep layer's determinism guarantees, end to end,
+//! checked on the per-seed `CellMetrics` a sweep produces and on the
+//! `MetricSummary` bits their by-name fold yields:
 //!
 //! 1. a sweep aggregated serially is **bit-identical** to the same
 //!    sweep on any worker count (inherited from the runner, preserved
-//!    by the aggregation fold);
+//!    by the aggregation fold), rendered table included;
 //! 2. aggregate values are **invariant to seed-list order** (summaries
 //!    sort their samples before folding);
 //! 3. the cells of one sweep batch are **independent across seeds** —
@@ -49,55 +51,62 @@ fn assert_summary_bits(label: &str, a: &MetricSummary, b: &MetricSummary) {
     assert_eq!(a.ci95.to_bits(), b.ci95.to_bits(), "{label}: ci95");
 }
 
+/// Same metric names, in the same order, with bit-identical values.
+fn assert_cell_bits(label: &str, a: &CellMetrics, b: &CellMetrics) {
+    let names = |c: &CellMetrics| c.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!(names(a), names(b), "{label}: metric names");
+    for ((name, x), (_, y)) in a.iter().zip(b) {
+        assert_eq!(x.to_bits(), y.to_bits(), "{label}: {name}");
+    }
+}
+
+/// Same metric set with bit-identical summaries (looked up by name, so
+/// first-appearance order may differ).
+fn assert_fold_bits(label: &str, a: &[(String, MetricSummary)], b: &[(String, MetricSummary)]) {
+    assert_eq!(a.len(), b.len(), "{label}: metric count");
+    for (name, sa) in a {
+        let (_, sb) = b
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("{label}: {name} missing"));
+        assert_summary_bits(&format!("{label} {name}"), sa, sb);
+    }
+}
+
+/// A family swept serially and on the parallel config: per-seed cells,
+/// folded summaries and the rendered table are all bit-identical.
+fn assert_parallel_matches_serial(family: Family, frames: u64) {
+    let sweep = sweep_under_test();
+    let serial = sweep_metrics(family, &sweep, frames, None, &RunnerConfig::serial());
+    let parallel = sweep_metrics(family, &sweep, frames, None, &parallel_config());
+    assert_eq!(serial.len(), sweep.n(), "{family}");
+    for (s, p) in serial.iter().zip(&parallel) {
+        assert_cell_bits(family.name(), s, p);
+    }
+    let (s, p) = (fold_by_name(&serial), fold_by_name(&parallel));
+    assert_fold_bits(family.name(), &s, &p);
+    assert_eq!(
+        sweep_table(family, &s).render(),
+        sweep_table(family, &p).render(),
+        "{family}"
+    );
+}
+
 #[test]
 fn table1_sweep_parallel_is_bit_identical_to_serial() {
-    let sweep = sweep_under_test();
-    let serial = run_table1_sweep_with(&sweep, 200, &RunnerConfig::serial());
-    let parallel = run_table1_sweep_with(&sweep, 200, &parallel_config());
-    assert_eq!(serial.per_seed, parallel.per_seed);
-    assert_eq!(serial.table.render(), parallel.table.render());
-    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
-        assert_eq!(s.method, p.method);
-        assert_summary_bits(&s.method, &s.normalized_energy, &p.normalized_energy);
-        assert_summary_bits(&s.method, &s.energy_joules, &p.energy_joules);
-        assert_summary_bits(&s.method, &s.miss_rate, &p.miss_rate);
-    }
+    assert_parallel_matches_serial(Family::Table1, 200);
 }
 
 #[test]
 fn table2_and_table3_sweeps_parallel_match_serial() {
-    let sweep = sweep_under_test();
-    let serial = run_table2_sweep_with(&sweep, 250, &RunnerConfig::serial());
-    let parallel = run_table2_sweep_with(&sweep, 250, &parallel_config());
-    assert_eq!(serial.rows, parallel.rows);
-    assert_eq!(serial.table.render(), parallel.table.render());
-
-    let serial = run_table3_sweep_with(&sweep, 250, &RunnerConfig::serial());
-    let parallel = run_table3_sweep_with(&sweep, 250, &parallel_config());
-    assert_eq!(serial.rows, parallel.rows);
+    assert_parallel_matches_serial(Family::Table2, 250);
+    assert_parallel_matches_serial(Family::Table3, 250);
 }
 
 #[test]
 fn fig3_and_ablation_sweeps_parallel_match_serial() {
-    let sweep = sweep_under_test();
-    let serial = run_fig3_sweep_with(&sweep, 150, &RunnerConfig::serial());
-    let parallel = run_fig3_sweep_with(&sweep, 150, &parallel_config());
-    assert_summary_bits(
-        "early",
-        &serial.early_misprediction,
-        &parallel.early_misprediction,
-    );
-    assert_summary_bits(
-        "late",
-        &serial.late_misprediction,
-        &parallel.late_misprediction,
-    );
-    assert_eq!(serial.per_seed, parallel.per_seed);
-
-    let serial = run_shared_table_ablation_sweep_with(&sweep, 150, &RunnerConfig::serial());
-    let parallel = run_shared_table_ablation_sweep_with(&sweep, 150, &parallel_config());
-    assert_eq!(serial.rows, parallel.rows);
-    assert_eq!(serial.table.render(), parallel.table.render());
+    assert_parallel_matches_serial(Family::Fig3, 150);
+    assert_parallel_matches_serial(Family::SharedTable, 150);
 }
 
 #[test]
@@ -106,21 +115,17 @@ fn aggregates_are_invariant_to_seed_list_order() {
     let reversed = SeedSweep::new(vec![77, 5, 2017]);
     let runner = parallel_config();
 
-    let a = run_table2_sweep_with(&forward, 200, &runner);
-    let b = run_table2_sweep_with(&reversed, 200, &runner);
-    for (ra, rb) in a.rows.iter().zip(&b.rows) {
-        assert_eq!(ra.app, rb.app);
-        assert_summary_bits(&ra.app, &ra.upd_explorations, &rb.upd_explorations);
-        assert_summary_bits(&ra.app, &ra.epd_explorations, &rb.epd_explorations);
-        assert_summary_bits(&ra.app, &ra.epd_upd_ratio, &rb.epd_upd_ratio);
+    for family in [Family::Table2, Family::Table3] {
+        let a = fold_by_name(sweep_metrics(family, &forward, 200, None, &runner));
+        let b = fold_by_name(sweep_metrics(family, &reversed, 200, None, &runner));
+        assert_fold_bits(family.name(), &a, &b);
+        // The rendered aggregate table is identical too; only the
+        // per-seed cells (which document sweep order) differ.
+        assert_eq!(
+            sweep_table(family, &a).render(),
+            sweep_table(family, &b).render()
+        );
     }
-    // The rendered aggregate table is identical too; only the per-seed
-    // drill-down (which documents sweep order) differs.
-    assert_eq!(a.table.render(), b.table.render());
-
-    let a = run_table3_sweep_with(&forward, 200, &runner);
-    let b = run_table3_sweep_with(&reversed, 200, &runner);
-    assert_eq!(a.table.render(), b.table.render());
 }
 
 #[test]
@@ -129,44 +134,43 @@ fn sweep_cells_are_independent_across_seeds() {
     // bit-identical to the same seed run on its own — no state bleed
     // between the seeds of a batch.
     let sweep = SeedSweep::new(vec![2017, 5, 77]);
-    let swept = run_table3_sweep_with(&sweep, 200, &parallel_config());
+    let swept = sweep_metrics(Family::Table3, &sweep, 200, None, &parallel_config());
     for (i, &seed) in sweep.seeds().iter().enumerate() {
-        let alone = qgov::bench::experiments::run_table3_with(seed, 200, &RunnerConfig::serial());
-        assert_eq!(swept.per_seed[i], alone, "seed {seed}");
+        let alone = run_table3_with(seed, 200, &RunnerConfig::serial()).metrics();
+        assert_cell_bits(&format!("seed {seed}"), &swept[i], &alone);
     }
 }
 
 #[test]
 fn flattened_grid_matches_per_seed_nested_runs() {
-    // The sweep layer expands the full seed × methodology cross
-    // product into ONE job queue (`Aggregate::collect_grid`). Whatever
-    // the queue's width, every per-seed bundle must stay bit-identical
-    // to the same seed's experiment run alone with its own nested
-    // (methodology-only) batch — across experiment families with
-    // different grid shapes.
+    // The sweep expands the full seed × methodology cross product into
+    // ONE job queue. Whatever the queue's width, every per-seed cell
+    // must stay bit-identical to the same seed's experiment run alone
+    // with its own nested (methodology-only) batch — across experiment
+    // families with different grid shapes.
     let sweep = SeedSweep::new(vec![2017, 5, 77]);
+    let serial = RunnerConfig::serial();
     for workers in [1usize, 2, 7] {
         let runner = RunnerConfig::with_workers(workers);
 
-        let table1 = run_table1_sweep_with(&sweep, 150, &runner);
-        let table2 = run_table2_sweep_with(&sweep, 150, &runner);
-        let levels = run_state_levels_ablation_sweep_with(&sweep, 120, &runner);
+        let table1 = sweep_metrics(Family::Table1, &sweep, 150, None, &runner);
+        let table2 = sweep_metrics(Family::Table2, &sweep, 150, None, &runner);
+        let levels = sweep_metrics(Family::StateLevels, &sweep, 120, None, &runner);
         for (i, &seed) in sweep.seeds().iter().enumerate() {
-            let serial = RunnerConfig::serial();
-            assert_eq!(
-                table1.per_seed[i],
-                qgov::bench::experiments::run_table1_with(seed, 150, &serial),
-                "table1 seed {seed} at {workers} workers"
+            assert_cell_bits(
+                &format!("table1 seed {seed} at {workers} workers"),
+                &table1[i],
+                &run_table1_with(seed, 150, &serial).metrics(),
             );
-            assert_eq!(
-                table2.per_seed[i],
-                qgov::bench::experiments::run_table2_with(seed, 150, &serial),
-                "table2 seed {seed} at {workers} workers"
+            assert_cell_bits(
+                &format!("table2 seed {seed} at {workers} workers"),
+                &table2[i],
+                &run_table2_with(seed, 150, &serial).metrics(),
             );
-            assert_eq!(
-                levels.per_seed[i],
-                qgov::bench::experiments::run_state_levels_ablation_with(seed, 120, &serial),
-                "levels ablation seed {seed} at {workers} workers"
+            assert_cell_bits(
+                &format!("levels ablation seed {seed} at {workers} workers"),
+                &levels[i],
+                &run_state_levels_ablation_with(seed, 120, &serial).metrics(),
             );
         }
     }
@@ -175,31 +179,30 @@ fn flattened_grid_matches_per_seed_nested_runs() {
 #[test]
 fn flattened_grid_handles_duplicate_seeds() {
     // Duplicate sweep seeds share one deduplicated preparation in the
-    // flattened queue; their bundles must still be bit-identical to
+    // flattened queue; their cells must still be bit-identical to
     // independent runs (and to each other).
     let sweep = SeedSweep::new(vec![9, 9]);
-    let swept = run_table3_sweep_with(&sweep, 150, &parallel_config());
-    let alone = qgov::bench::experiments::run_table3_with(9, 150, &RunnerConfig::serial());
-    assert_eq!(swept.per_seed[0], alone);
-    assert_eq!(swept.per_seed[1], alone);
+    let swept = sweep_metrics(Family::Table3, &sweep, 150, None, &parallel_config());
+    let alone = run_table3_with(9, 150, &RunnerConfig::serial()).metrics();
+    assert_cell_bits("first 9", &swept[0], &alone);
+    assert_cell_bits("second 9", &swept[1], &alone);
 }
 
 #[test]
 fn single_seed_sweep_preserves_the_single_run_baseline() {
     let sweep = SeedSweep::single(2017);
     for runner in [RunnerConfig::serial(), parallel_config()] {
-        let swept = run_table1_sweep_with(&sweep, 200, &runner);
-        let single = qgov::bench::experiments::run_table1_with(2017, 200, &runner);
-        assert_eq!(swept.per_seed[0], single);
-        for (srow, row) in swept.rows.iter().zip(&single.rows) {
-            assert_eq!(srow.method, row.method);
-            assert_eq!(srow.normalized_energy.n, 1);
-            assert_eq!(
-                srow.normalized_energy.mean.to_bits(),
-                row.normalized_energy.to_bits()
-            );
-            assert_eq!(srow.normalized_energy.std_dev, 0.0);
-            assert_eq!(srow.normalized_energy.ci95, 0.0);
+        let swept = sweep_metrics(Family::Table1, &sweep, 200, None, &runner);
+        let single = run_table1_with(2017, 200, &runner).metrics();
+        assert_eq!(swept.len(), 1);
+        assert_cell_bits("n = 1", &swept[0], &single);
+        let folded = fold_by_name(&swept);
+        assert_eq!(folded.len(), single.len());
+        for ((name, summary), (_, value)) in folded.iter().zip(&single) {
+            assert_eq!(summary.n, 1, "{name}");
+            assert_eq!(summary.mean.to_bits(), value.to_bits(), "{name}");
+            assert_eq!(summary.std_dev, 0.0, "{name}");
+            assert_eq!(summary.ci95, 0.0, "{name}");
         }
     }
 }
@@ -210,15 +213,14 @@ fn duplicate_seeds_have_zero_spread() {
     // constant series: the mean equals the single value and every
     // spread field collapses to exactly zero.
     let sweep = SeedSweep::new(vec![7, 7, 7]);
-    let swept = run_table3_sweep_with(&sweep, 150, &parallel_config());
-    let single = qgov::bench::experiments::run_table3_with(7, 150, &RunnerConfig::serial());
-    for (srow, row) in swept.rows.iter().zip(&single.rows) {
-        assert_eq!(srow.exploration_epochs.n, 3);
-        assert_eq!(
-            srow.exploration_epochs.mean.to_bits(),
-            (row.exploration_epochs as f64).to_bits()
-        );
-        assert_eq!(srow.exploration_epochs.std_dev, 0.0);
-        assert_eq!(srow.exploration_epochs.ci95, 0.0);
+    let swept = sweep_metrics(Family::Table3, &sweep, 150, None, &parallel_config());
+    let single = run_table3_with(7, 150, &RunnerConfig::serial()).metrics();
+    let folded = fold_by_name(&swept);
+    assert_eq!(folded.len(), single.len());
+    for ((name, summary), (_, value)) in folded.iter().zip(&single) {
+        assert_eq!(summary.n, 3, "{name}");
+        assert_eq!(summary.mean.to_bits(), value.to_bits(), "{name}");
+        assert_eq!(summary.std_dev, 0.0, "{name}");
+        assert_eq!(summary.ci95, 0.0, "{name}");
     }
 }
