@@ -87,8 +87,9 @@ pub struct ManyCoreOutcome {
 ///
 /// Steady state is allocation-free: the demand slots, work-slice
 /// buffers, frame result, decision vector and share vector are all
-/// reused across epochs (`tests/alloc_steady_state.rs` pins the
-/// single-cluster path of the same kernels).
+/// reused across epochs (`tests/alloc_steady_state_manycore.rs` pins
+/// this loop's clean path under [`ManyCoreRtm`](qgov_core::ManyCoreRtm)
+/// on a 4-cluster mesh).
 ///
 /// # Panics
 ///

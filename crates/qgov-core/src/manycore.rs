@@ -8,7 +8,7 @@
 //! run* stays per-cluster and model-free; *where work runs* is steered
 //! by observed slack, temperature, and energy-per-cycle.
 
-use crate::{GreedyMigration, MigrationConfig, RtmConfig, RtmGovernor};
+use crate::{GreedyMigration, HistoryMode, MigrationConfig, RtmConfig, RtmGovernor};
 use qgov_governors::{
     EpochObservation, Governor, GovernorContext, ManyCoreGovernor, ManyCoreObservation, VfDecision,
 };
@@ -55,7 +55,10 @@ impl ManyCoreRtm {
 
     /// The paper's configuration on every cluster, with per-cluster
     /// decorrelated exploration seeds (`seed + c`), shared workload
-    /// bounds, and the default greedy migration policy.
+    /// bounds, and the default greedy migration policy. The agents keep
+    /// no epoch history ([`HistoryMode::Off`]): nothing reads a
+    /// many-core agent's history, the mode never changes a decision,
+    /// and an unbounded history would grow on the heap every epoch.
     ///
     /// The bounds should span the *chip-level* demand range: every
     /// cluster sees a migrating fraction of the total, so each agent's
@@ -70,6 +73,7 @@ impl ManyCoreRtm {
             .map(|c| {
                 RtmConfig::paper(seed.wrapping_add(c as u64))
                     .with_workload_bounds((bounds.0 * 0.05).max(1.0), bounds.1)
+                    .with_history(HistoryMode::Off)
             })
             .collect();
         Self::new(configs, MigrationConfig::greedy())
@@ -175,7 +179,9 @@ impl ManyCoreGovernor for ManyCoreRtm {
     ) {
         // A freshly-reported dead cluster sheds its work share first,
         // so the survivors' agents see the extra demand this epoch.
-        self.migration.drain_dead(shares, &self.dead);
+        if self.dead.contains(&true) {
+            self.migration.drain_dead(shares, &self.dead);
+        }
         decisions.clear();
         for (cluster, agent) in self.agents.iter_mut().enumerate() {
             if self.dead[cluster] {

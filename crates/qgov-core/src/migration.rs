@@ -15,8 +15,10 @@
 //!    still has slack headroom and thermal margin — on a big.LITTLE
 //!    part this is what moves steady work onto the LITTLE cores.
 //!
-//! Both moves are bounded by a per-epoch share step, tie-break on the
-//! lowest cluster index, and never touch the heap.
+//! Both moves are bounded by a per-epoch share step and tie-break on the
+//! lowest cluster index. Each cluster's frame slack is computed once
+//! per epoch into a buffer that grows to the cluster count on first use
+//! and never touches the heap again.
 
 use qgov_sim::FrameResult;
 use qgov_units::Temp;
@@ -68,6 +70,9 @@ impl Default for MigrationConfig {
 pub struct GreedyMigration {
     config: MigrationConfig,
     migrations: u64,
+    /// This epoch's [`FrameResult::frame_slack`] per cluster, shared by
+    /// the rescue and consolidation scans.
+    slacks: Vec<f64>,
 }
 
 impl GreedyMigration {
@@ -77,6 +82,7 @@ impl GreedyMigration {
         GreedyMigration {
             config,
             migrations: 0,
+            slacks: Vec::new(),
         }
     }
 
@@ -116,6 +122,9 @@ impl GreedyMigration {
         if n < 2 {
             return false;
         }
+        self.slacks.clear();
+        self.slacks
+            .extend(frames[..n].iter().map(FrameResult::frame_slack));
 
         if let Some((donor, receiver)) = self.rescue_pair(&frames[..n], &shares[..n], dead) {
             return self.transfer(shares, donor, receiver);
@@ -171,31 +180,32 @@ impl GreedyMigration {
         dead: &[bool],
     ) -> Option<(usize, usize)> {
         let is_dead = |c: usize| dead.get(c).copied().unwrap_or(false);
-        let mut donor: Option<usize> = None;
-        for (c, frame) in frames.iter().enumerate() {
-            if is_dead(c) || shares[c] <= 0.0 || frame.frame_slack() >= self.config.slack_floor {
+        let slacks = &self.slacks;
+        let mut donor: Option<(usize, f64)> = None;
+        for (c, &slack) in slacks.iter().enumerate() {
+            if is_dead(c) || shares[c] <= 0.0 || slack >= self.config.slack_floor {
                 continue;
             }
-            if donor.is_none_or(|d| frame.frame_slack() < frames[d].frame_slack()) {
-                donor = Some(c);
+            if donor.is_none_or(|(_, worst)| slack < worst) {
+                donor = Some((c, slack));
             }
         }
-        let donor = donor?;
+        let (donor, _) = donor?;
 
-        let mut receiver: Option<usize> = None;
-        for (c, frame) in frames.iter().enumerate() {
+        let mut receiver: Option<(usize, f64)> = None;
+        for (c, (frame, &slack)) in frames.iter().zip(slacks).enumerate() {
             if c == donor
                 || is_dead(c)
-                || frame.frame_slack() <= self.config.slack_floor
+                || slack <= self.config.slack_floor
                 || frame.temperature >= self.config.temp_cap
             {
                 continue;
             }
-            if receiver.is_none_or(|r| frame.frame_slack() > frames[r].frame_slack()) {
-                receiver = Some(c);
+            if receiver.is_none_or(|(_, best)| slack > best) {
+                receiver = Some((c, slack));
             }
         }
-        receiver.map(|r| (donor, r))
+        receiver.map(|(r, _)| (donor, r))
     }
 
     /// Energy consolidation: while every active cluster has slack above
@@ -208,15 +218,16 @@ impl GreedyMigration {
         dead: &[bool],
     ) -> Option<(usize, usize)> {
         let is_dead = |c: usize| dead.get(c).copied().unwrap_or(false);
-        for (c, frame) in frames.iter().enumerate() {
-            if !is_dead(c) && shares[c] > 0.0 && frame.frame_slack() < self.config.guard_slack {
+        let slacks = &self.slacks;
+        for (c, &slack) in slacks.iter().enumerate() {
+            if !is_dead(c) && shares[c] > 0.0 && slack < self.config.guard_slack {
                 return None;
             }
         }
 
         let mut donor: Option<(usize, f64)> = None;
         let mut receiver: Option<(usize, f64)> = None;
-        for (c, frame) in frames.iter().enumerate() {
+        for (c, (frame, &slack)) in frames.iter().zip(slacks).enumerate() {
             if is_dead(c) {
                 continue;
             }
@@ -228,7 +239,7 @@ impl GreedyMigration {
             if shares[c] > 0.0 && donor.is_none_or(|(_, worst)| cost > worst) {
                 donor = Some((c, cost));
             }
-            if frame.frame_slack() > self.config.guard_slack
+            if slack > self.config.guard_slack
                 && frame.temperature < self.config.temp_cap
                 && receiver.is_none_or(|(_, best)| cost < best)
             {

@@ -244,7 +244,8 @@ impl RtmLane {
         // frame slack so the credit lands on the action that caused it
         // (the paper's L averages over D epochs, but D restarts with
         // every T_ref change, keeping it similarly responsive).
-        let frame_slack = obs.frame.frame_slack().clamp(-1.0, 1.0);
+        let raw_slack = obs.frame.frame_slack();
+        let frame_slack = raw_slack.clamp(-1.0, 1.0);
         self.slack.observe(frame_slack);
         let l = self.slack.average();
         let reward = self
@@ -289,7 +290,7 @@ impl RtmLane {
                     epoch: obs.epoch,
                     predicted_total_cycles: predicted_for_this_frame,
                     actual_total_cycles: actual_total,
-                    frame_slack: obs.frame.frame_slack(),
+                    frame_slack: raw_slack,
                     avg_slack: l,
                     state: 0,
                     action,
@@ -321,7 +322,7 @@ impl RtmLane {
             epoch: obs.epoch,
             predicted_total_cycles: predicted_for_this_frame,
             actual_total_cycles: actual_total,
-            frame_slack: obs.frame.frame_slack(),
+            frame_slack: raw_slack,
             avg_slack: l,
             state,
             action,

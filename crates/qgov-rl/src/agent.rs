@@ -236,21 +236,33 @@ impl QLearningAgent {
     /// finite.
     pub fn begin_epoch(&mut self, state: usize, reward: f64, slack: f64) -> usize {
         assert!(reward.is_finite(), "reward must be finite, got {reward}");
+        // One scan of the coming state's row, before the update writes:
+        // its maximum is the Bellman future term, and its argmax is the
+        // greedy selection unless the update below lands in this very
+        // row (`state == prev_state`).
+        let (mut greedy, future) = self.q.row_best(state);
+
         // (1) + (2): pay-off and Bellman update for the previous pair.
         // `alpha`/`discount` were validated at construction, so the
-        // unchecked fast path applies (one fused row traversal for the
-        // future term instead of two index-checked passes).
+        // unchecked fast path applies.
         if let Some((prev_state, prev_action)) = self.last {
-            let (greedy_before, _) = self.q.row_best(prev_state);
-            self.q.update_unchecked(
+            let greedy_before = if prev_state == state {
+                greedy
+            } else {
+                self.q.row_best(prev_state).0
+            };
+            let greedy_after = self.q.update_unchecked(
                 prev_state,
                 prev_action,
                 reward,
-                state,
+                future,
                 self.alpha,
                 self.discount,
             );
-            let changed = self.q.row_best(prev_state).0 != greedy_before;
+            if prev_state == state {
+                greedy = greedy_after;
+            }
+            let changed = greedy_after != greedy_before;
             // A quiet greedy policy during the exploration phase is not
             // convergence — early on, updates have not yet differentiated
             // the actions, so the greedy choice sits still for trivial
@@ -264,10 +276,7 @@ impl QLearningAgent {
             }
         }
 
-        // (3): action selection for the coming interval — the fused
-        // argmax scan (re-run after the update above, whose target row
-        // may alias `state`).
-        let (greedy, _) = self.q.row_best(state);
+        // (3): action selection for the coming interval.
         let explore = crate::uniform_f64(&mut self.rng) < self.epsilon.value();
         let action = if explore {
             let ctx = ActionContext::new(self.q.row(state), self.actions.freqs_ghz(), slack);

@@ -29,6 +29,9 @@ pub struct DecayingEpsilon {
     initial: f64,
     current: f64,
     decay_rate: f64,
+    /// `exp(-decay_rate)`, the per-epoch factor of Eq. 6, evaluated
+    /// once at construction.
+    factor: f64,
     floor: f64,
 }
 
@@ -54,6 +57,7 @@ impl DecayingEpsilon {
             initial,
             current: initial,
             decay_rate,
+            factor: (-decay_rate).exp(),
             floor,
         })
     }
@@ -87,7 +91,7 @@ impl DecayingEpsilon {
     /// Advances one decision epoch (applies Eq. 6 once) and returns the
     /// new ε.
     pub fn step(&mut self) -> f64 {
-        self.current = (self.current * (-self.decay_rate).exp()).max(self.floor);
+        self.current = (self.current * self.factor).max(self.floor);
         self.current
     }
 
@@ -134,6 +138,17 @@ mod tests {
         assert!((eps.value() - (-0.1f64).exp()).abs() < 1e-12);
         eps.step();
         assert!((eps.value() - (-0.2f64).exp()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn precomputed_factor_matches_per_step_exp_bit_for_bit() {
+        let mut eps = DecayingEpsilon::paper();
+        let mut expected = 1.0f64;
+        for _ in 0..200 {
+            expected = (expected * (-0.05f64).exp()).max(0.01);
+            assert_eq!(eps.step().to_bits(), expected.to_bits());
+        }
+        assert_eq!(eps.value(), 0.01);
     }
 
     #[test]

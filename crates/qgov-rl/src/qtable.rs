@@ -317,7 +317,8 @@ impl QTable {
         // descriptive panic messages.
         let _ = self.idx(state, action);
         let _ = self.idx(next_state, 0);
-        self.update_unchecked(state, action, reward, next_state, alpha, discount);
+        let future = self.row_best(next_state).1;
+        self.update_unchecked(state, action, reward, future, alpha, discount);
     }
 
     /// The Bellman update without the per-call range/finiteness asserts
@@ -325,10 +326,13 @@ impl QTable {
     /// that validated `alpha`/`discount`/`reward` at construction time
     /// (e.g. [`AgentConfig::validate`](crate::AgentConfig::validate)).
     ///
-    /// One fused row traversal ([`QTable::row_best`]) computes the
-    /// future term, replacing the two index-checked passes of the
-    /// original kernel. Numerically bit-identical to
-    /// [`QTable::update`].
+    /// `future` is the `max_a Q(sᵢ₊₁, a)` term of Eq. 3, supplied by the
+    /// caller: an agent scans the next state's row once per epoch for
+    /// its greedy selection anyway, and that scan's maximum (taken
+    /// before this update writes) is exactly the future term
+    /// [`QTable::update`] computes. Returns the greedy action of
+    /// `state`'s row after the write. Numerically bit-identical to
+    /// [`QTable::update`] given `future = row_best(next_state).1`.
     ///
     /// # Panics
     ///
@@ -341,10 +345,10 @@ impl QTable {
         state: usize,
         action: usize,
         reward: f64,
-        next_state: usize,
+        future: f64,
         alpha: f64,
         discount: f64,
-    ) {
+    ) -> usize {
         debug_assert!(
             (0.0..=1.0).contains(&alpha),
             "learning rate alpha must lie in [0, 1], got {alpha}"
@@ -354,11 +358,11 @@ impl QTable {
             "discount factor must lie in [0, 1], got {discount}"
         );
         debug_assert!(reward.is_finite(), "reward must be finite, got {reward}");
-        let (_, future) = self.row_best(next_state);
         let i = self.idx_fast(state, action);
         self.values[i] = (1.0 - alpha) * self.values[i] + alpha * (reward + discount * future);
         self.visits[i] += 1;
         self.updates += 1;
+        self.row_best(state).0
     }
 
     /// Resets all values and visit counts to zero, forgetting everything
@@ -557,7 +561,9 @@ mod tests {
             let next = ((i + 1) % 3) as usize;
             let r = (i as f64).sin() * 5.0;
             checked.update(s, a, r, next, 0.3, 0.5);
-            fast.update_unchecked(s, a, r, next, 0.3, 0.5);
+            let future = fast.row_best(next).1;
+            let greedy = fast.update_unchecked(s, a, r, future, 0.3, 0.5);
+            assert_eq!(greedy, fast.greedy_action(s));
         }
         assert_eq!(checked, fast);
     }

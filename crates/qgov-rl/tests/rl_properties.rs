@@ -122,6 +122,37 @@ proptest! {
         }
     }
 
+    /// The fast Bellman update, fed the future term from a scan of the
+    /// next state's row taken before it writes, equals the checked
+    /// `QTable::update` bit for bit on random tables — including
+    /// self-transitions, where the updated row is the future row — and
+    /// the greedy action it returns is the updated row's argmax.
+    #[test]
+    fn update_unchecked_with_supplied_future_matches_checked_update(
+        cells in proptest::collection::vec(-50.0f64..50.0, 15),
+        steps in proptest::collection::vec(
+            (0usize..3, 0usize..5, -5.0f64..5.0, 0usize..3, 0.0f64..=1.0, 0.0f64..=1.0),
+            1..200),
+    ) {
+        let mut checked = QTable::new(3, 5).unwrap();
+        for (i, &v) in cells.iter().enumerate() {
+            checked.update(i / 5, i % 5, v, 0, 1.0, 0.0);
+        }
+        let mut fast = checked.clone();
+        for (s, a, r, ns, alpha, discount) in steps {
+            checked.update(s, a, r, ns, alpha, discount);
+            let future = fast.row_best(ns).1;
+            let greedy = fast.update_unchecked(s, a, r, future, alpha, discount);
+            prop_assert_eq!(greedy, fast.row_best(s).0);
+            for state in 0..3 {
+                for (x, y) in checked.row(state).iter().zip(fast.row(state)) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits());
+                }
+            }
+        }
+        prop_assert_eq!(checked.update_count(), fast.update_count());
+    }
+
     /// The greedy action always attains the row maximum.
     #[test]
     fn greedy_attains_max(

@@ -155,6 +155,11 @@ impl VfController {
             })
     }
 
+    /// The OPP index of every core, in core order.
+    pub(crate) fn core_opps(&self) -> &[usize] {
+        &self.current
+    }
+
     fn transition_latency(&self, from: usize, to: usize) -> SimTime {
         if from == to {
             return SimTime::ZERO;

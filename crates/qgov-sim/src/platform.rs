@@ -491,18 +491,22 @@ impl Platform {
         let overhead = self.pending_overhead;
         self.pending_overhead = SimTime::ZERO;
 
+        // Per-core values that depend only on the OPP index are computed
+        // once per run of cores sharing an index (once per frame on a
+        // shared rail) and reused; `usize::MAX` marks "nothing cached".
+        let opps = self.vf.core_opps();
+        let table = self.vf.table();
+
         // Execute to the barrier.
         out.per_core_busy.clear();
         out.per_core_cycles.clear();
         let mut compute_time = SimTime::ZERO;
-        for (core, slice) in work.iter().enumerate() {
-            let opp_idx = self.vf.core_opp(core).expect("core index in range");
-            let freq = self
-                .vf
-                .table()
-                .get(opp_idx)
-                .expect("opp index in range")
-                .freq;
+        let (mut freq_idx, mut freq) = (usize::MAX, Freq::ZERO);
+        for (&opp_idx, slice) in opps.iter().zip(work) {
+            if opp_idx != freq_idx {
+                freq_idx = opp_idx;
+                freq = table.get(opp_idx).expect("opp index in range").freq;
+            }
             let busy = slice.time_at(freq);
             compute_time = compute_time.max(busy);
             out.per_core_busy.push(busy);
@@ -514,15 +518,18 @@ impl Platform {
         // Energy accounting at the temperature of frame start.
         let temp = self.thermal.temperature();
         let mut energy = Energy::ZERO;
-        for (core, &busy) in out.per_core_busy.iter().enumerate() {
-            let opp_idx = self.vf.core_opp(core).expect("core index in range");
-            let opp = self.vf.table().get(opp_idx).expect("opp index in range");
+        let (mut power_idx, mut p_busy, mut p_idle) = (usize::MAX, Power::ZERO, Power::ZERO);
+        for (core, (&opp_idx, &busy)) in opps.iter().zip(&out.per_core_busy).enumerate() {
+            if opp_idx != power_idx {
+                let opp = table.get(opp_idx).expect("opp index in range");
+                power_idx = opp_idx;
+                p_busy = self.power_model.core_power(opp, 1.0, temp).total();
+                p_idle = self.power_model.core_power(opp, 0.0, temp).total();
+            }
             // The governor's serial overhead section runs on core 0.
             let active = if core == 0 { busy + overhead } else { busy };
             let active = active.min(wall_time);
             let idle = wall_time - active;
-            let p_busy = self.power_model.core_power(opp, 1.0, temp).total();
-            let p_idle = self.power_model.core_power(opp, 0.0, temp).total();
             energy += p_busy * active + p_idle * idle;
             self.pmus[core].record(
                 out.per_core_cycles[core],
@@ -530,12 +537,8 @@ impl Platform {
                 wall_time.saturating_sub(busy),
             );
         }
-        let cluster_opp_idx = self.vf.cluster_opp();
-        let cluster_opp = self
-            .vf
-            .table()
-            .get(cluster_opp_idx)
-            .expect("cluster opp in range");
+        let cluster_opp_idx = opps[0];
+        let cluster_opp = table.get(cluster_opp_idx).expect("cluster opp in range");
         energy += self.power_model.uncore_power(cluster_opp, temp).total() * wall_time;
 
         let avg_power = Power::from_watts(energy.as_joules() / wall_time.as_secs_f64());
@@ -823,5 +826,51 @@ mod tests {
         let r = p.run_frame(&work, SimTime::from_ms(100)).unwrap();
         assert_eq!(r.per_core_busy[0], SimTime::from_ms(5));
         assert_eq!(r.per_core_busy[1], SimTime::from_ms(50));
+    }
+
+    #[test]
+    fn per_core_power_reuse_keys_on_each_cores_own_opp() {
+        let config = PlatformConfig {
+            vf_domain: VfDomain::PerCore,
+            sensor: SensorConfig::ideal(),
+            ..PlatformConfig::odroid_xu3_a15()
+        };
+        let model = config.power_model.clone();
+        let table = config.opp_table.clone();
+        let mut p = Platform::new(config).unwrap();
+        let opps = [3, 3, 12, 3];
+        for (core, &index) in opps.iter().enumerate() {
+            p.try_set_core_opp(core, index).unwrap();
+        }
+        let work = [
+            WorkSlice::cpu_only(Cycles::from_mcycles(5)),
+            WorkSlice::new(Cycles::from_mcycles(20), SimTime::from_ms(2)),
+            WorkSlice::cpu_only(Cycles::from_mcycles(30)),
+            WorkSlice::IDLE,
+        ];
+        let temp = p.temperature();
+        let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
+        assert!(!r.overhead.is_zero(), "core 0 carries the transition cost");
+
+        // Independent recomputation, one power-model call per core.
+        let mut expected = Energy::ZERO;
+        for (core, (&index, slice)) in opps.iter().zip(&work).enumerate() {
+            let opp = table.get(index).unwrap();
+            let busy = slice.time_at(opp.freq);
+            assert_eq!(r.per_core_busy[core], busy);
+            let active = if core == 0 { busy + r.overhead } else { busy };
+            let active = active.min(r.wall_time);
+            let idle = r.wall_time - active;
+            expected += model.core_power(opp, 1.0, temp).total() * active
+                + model.core_power(opp, 0.0, temp).total() * idle;
+        }
+        expected += model
+            .uncore_power(table.get(opps[0]).unwrap(), temp)
+            .total()
+            * r.wall_time;
+        assert_eq!(
+            r.energy.as_joules().to_bits(),
+            expected.as_joules().to_bits()
+        );
     }
 }

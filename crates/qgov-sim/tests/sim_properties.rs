@@ -2,8 +2,11 @@
 //! that must hold for arbitrary workloads and operating points.
 
 use proptest::prelude::*;
-use qgov_sim::{DvfsConfig, Platform, PlatformConfig, SensorConfig, VfDomain, WorkSlice};
-use qgov_units::{Cycles, SimTime};
+use qgov_sim::{
+    ClusterConfig, DvfsConfig, ManyCoreFrameResult, ManyCorePlatform, Platform, PlatformConfig,
+    SensorConfig, Topology, VfDomain, WorkSlice,
+};
+use qgov_units::{Cycles, Energy, SimTime};
 
 fn platform() -> Platform {
     Platform::new(PlatformConfig {
@@ -151,5 +154,75 @@ proptest! {
             p.run_frame(&work, period).unwrap().frame_time
         };
         prop_assert!(make(true) <= make(false));
+    }
+
+    /// The many-core chip's accounting against its own clusters, on
+    /// random 1–6-cluster topologies mixing A15 and A7 quads under
+    /// typical DVFS costs, random work and random per-cluster OPP
+    /// sequences: chip energy is the in-order sum of the cluster
+    /// energies bit for bit, chip frame and wall time are the cluster
+    /// maxima, and the transition count is the number of OPP changes
+    /// each cluster went through (boot OPP 0, every frame's OPP, the
+    /// final retarget).
+    #[test]
+    fn manycore_accounting_matches_its_clusters(
+        big in proptest::collection::vec(0u8..2, 1..7),
+        frames in proptest::collection::vec(
+            proptest::collection::vec((0u64..80, 0u64..8_000, 0usize..19), 6),
+            1..12),
+        final_opps in proptest::collection::vec(0usize..19, 6),
+    ) {
+        let clusters: Vec<ClusterConfig> = big
+            .iter()
+            .enumerate()
+            .map(|(c, &b)| {
+                let platform = if b == 1 {
+                    PlatformConfig::odroid_xu3_a15()
+                } else {
+                    PlatformConfig::odroid_xu3_little()
+                };
+                ClusterConfig::new(
+                    format!("c{c}"),
+                    PlatformConfig { dvfs: DvfsConfig::typical(), ..platform },
+                )
+            })
+            .collect();
+        let n = clusters.len();
+        let mut chip = ManyCorePlatform::new(Topology::new(clusters)).unwrap();
+        let mut out = ManyCoreFrameResult::empty();
+        let mut last_opp = vec![0usize; n];
+        let mut changes = 0u64;
+        let mut work: Vec<Vec<WorkSlice>> = (0..n).map(|c| vec![WorkSlice::IDLE; chip.cores(c)]).collect();
+        for frame in &frames {
+            for (c, &(mcycles, mem_us, opp)) in frame.iter().take(n).enumerate() {
+                chip.set_cluster_opp(c, opp % chip.opp_table(c).len());
+                for (core, slice) in work[c].iter_mut().enumerate() {
+                    *slice = WorkSlice::new(
+                        Cycles::from_mcycles(mcycles * (core as u64 + 1) / 4),
+                        SimTime::from_us(mem_us),
+                    );
+                }
+            }
+            chip.run_frame_into(&work, SimTime::from_ms(40), &mut out).unwrap();
+
+            let mut energy = Energy::ZERO;
+            let mut frame_time = SimTime::ZERO;
+            let mut wall_time = SimTime::ZERO;
+            for (c, cluster) in out.clusters.iter().enumerate() {
+                energy += cluster.energy;
+                frame_time = frame_time.max(cluster.frame_time);
+                wall_time = wall_time.max(cluster.wall_time);
+                changes += u64::from(cluster.cluster_opp != last_opp[c]);
+                last_opp[c] = cluster.cluster_opp;
+            }
+            prop_assert_eq!(out.energy.as_joules().to_bits(), energy.as_joules().to_bits());
+            prop_assert_eq!(out.frame_time, frame_time);
+            prop_assert_eq!(out.wall_time, wall_time);
+        }
+        for (c, &opp) in final_opps.iter().take(n).enumerate() {
+            chip.set_cluster_opp(c, opp % chip.opp_table(c).len());
+            changes += u64::from(chip.current_opp(c) != last_opp[c]);
+        }
+        prop_assert_eq!(chip.total_transitions(), changes);
     }
 }
