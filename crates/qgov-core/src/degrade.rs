@@ -147,7 +147,7 @@ impl PlausibilityFilter {
         if !temp_c.is_finite() || temp_c > cfg.max_temperature_c || temp_c < cfg.min_temperature_c {
             return false;
         }
-        let watts = frame.measured_power.as_watts();
+        let watts = frame.measured_power().as_watts();
         if !watts.is_finite() || watts < 0.0 || watts > cfg.max_power_w {
             return false;
         }
@@ -263,6 +263,7 @@ impl PlausibilityFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qgov_sim::SensorReading;
     use qgov_units::{Power, SimTime};
 
     fn healthy_frame() -> FrameResult {
@@ -271,7 +272,7 @@ mod tests {
         f.wall_time = SimTime::from_ms(40);
         f.period = SimTime::from_ms(40);
         f.per_core_cycles = vec![Cycles::from_mcycles(30); 4];
-        f.measured_power = Power::from_watts(2.5);
+        f.sensor = SensorReading::exact(Power::from_watts(2.5));
         f.temperature = Temp::from_celsius(55.0);
         f
     }
@@ -332,7 +333,7 @@ mod tests {
         for i in 0..k {
             assert!(!filter.quarantined(), "not yet at rejection {i}");
             let mut bad = healthy_frame();
-            bad.measured_power = Power::from_watts(500.0);
+            bad.sensor = SensorReading::exact(Power::from_watts(500.0));
             filter.admit(&mut bad);
         }
         assert!(filter.quarantined());
@@ -340,7 +341,7 @@ mod tests {
 
         // Staying quarantined does not re-count entries.
         let mut bad = healthy_frame();
-        bad.measured_power = Power::from_watts(500.0);
+        bad.sensor = SensorReading::exact(Power::from_watts(500.0));
         filter.admit(&mut bad);
         assert!(filter.quarantined());
         assert_eq!(filter.quarantine_entries(), 1);
@@ -382,7 +383,7 @@ mod tests {
 
         // A range-implausible reading can never become a baseline.
         let mut wild = healthy_frame();
-        wild.measured_power = Power::from_watts(500.0);
+        wild.sensor = SensorReading::exact(Power::from_watts(500.0));
         for _ in 0..=cfg.rebaseline_after {
             assert!(!filter.admit(&mut wild.clone()));
         }

@@ -122,7 +122,7 @@ impl Governor for OndemandGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgov_sim::{FrameResult, OppTable};
+    use qgov_sim::{FrameResult, OppTable, SensorReading};
     use qgov_units::{Cycles, Energy, Power, SimTime, Temp};
 
     fn frame_with_utils(utils: &[f64], period_ms: u64) -> FrameResult {
@@ -138,8 +138,7 @@ mod tests {
             per_core_cycles: vec![Cycles::from_mcycles(1); utils.len()],
             energy: Energy::from_joules(0.1),
             avg_power: Power::from_watts(1.0),
-            measured_power: Power::from_watts(1.0),
-            measured_energy: Energy::from_joules(0.1),
+            sensor: SensorReading::exact(Power::from_watts(1.0)),
             temperature: Temp::default(),
             cluster_opp: 0,
         }

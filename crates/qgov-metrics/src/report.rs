@@ -237,15 +237,17 @@ impl RunReport {
         }
     }
 
-    /// Records run-wide extras not visible per frame.
+    /// Records run-wide extras not visible per frame. `meter_energy`
+    /// is the whole-run energy as an external meter reports it; every
+    /// harness passes the platform's ground-truth total.
     pub fn set_run_totals(
         &mut self,
-        measured_energy: Energy,
+        meter_energy: Energy,
         transitions: u64,
         total_overhead: SimTime,
         peak_temp: Temp,
     ) {
-        self.total_measured_energy = measured_energy;
+        self.total_measured_energy = meter_energy;
         self.transitions = transitions;
         self.total_overhead = total_overhead;
         self.peak_temp = peak_temp;
@@ -295,8 +297,11 @@ impl RunReport {
         self.total_energy
     }
 
-    /// Sensor-measured energy of the whole run (the paper's
-    /// measurement).
+    /// Whole-run energy as recorded by
+    /// [`set_run_totals`](RunReport::set_run_totals): the platform's
+    /// ground-truth total in every harness, not a sum of sensor
+    /// readings (per-frame sensor energy is
+    /// `FrameResult::measured_energy`). Zero until the totals are set.
     #[must_use]
     pub fn measured_energy(&self) -> Energy {
         self.total_measured_energy

@@ -30,7 +30,8 @@
 //! is allocation-free.
 
 use crate::platform::{FrameResult, WorkSlice};
-use qgov_units::{Cycles, Energy, Power, Temp};
+use crate::sensor::SensorReading;
+use qgov_units::{Cycles, Power, Temp};
 
 /// What one fault does while its window is active.
 ///
@@ -369,18 +370,15 @@ impl FaultInjector {
             }
             match fault.kind {
                 FaultKind::PowerStuck { watts } => {
-                    sensed.measured_power = Power::from_watts(watts);
-                    sensed.measured_energy = sensed.measured_power * sensed.wall_time;
+                    sensed.sensor = SensorReading::exact(Power::from_watts(watts));
                 }
                 FaultKind::PowerNoise { fraction } => {
                     let u = self.unit_draw(epoch, cluster, index);
                     let scale = 1.0 + fraction * u;
-                    sensed.measured_power = sensed.measured_power * scale;
-                    sensed.measured_energy = sensed.measured_power * sensed.wall_time;
+                    sensed.sensor = SensorReading::exact(sensed.measured_power() * scale);
                 }
                 FaultKind::PowerDropped => {
-                    sensed.measured_power = Power::ZERO;
-                    sensed.measured_energy = Energy::ZERO;
+                    sensed.sensor = SensorReading::exact(Power::ZERO);
                 }
                 FaultKind::TempStuck { celsius } => {
                     sensed.temperature = Temp::from_celsius(celsius);
@@ -465,8 +463,7 @@ mod tests {
         let mut f = FrameResult::empty();
         f.wall_time = SimTime::from_ms(40);
         f.per_core_cycles = vec![Cycles::from_mcycles(10); 4];
-        f.measured_power = Power::from_watts(2.0);
-        f.measured_energy = f.measured_power * f.wall_time;
+        f.sensor = SensorReading::exact(Power::from_watts(2.0));
         f.temperature = Temp::from_celsius(50.0);
         f
     }
@@ -493,12 +490,12 @@ mod tests {
         let inj = FaultInjector::single(&plan, 1, 4);
         let mut sensed = frame();
         inj.perturb_sensing(9, 0, &mut sensed);
-        assert!(sensed.measured_power.as_watts() > 0.0);
+        assert!(sensed.measured_power().as_watts() > 0.0);
         inj.perturb_sensing(10, 0, &mut sensed);
-        assert_eq!(sensed.measured_power, Power::ZERO);
+        assert_eq!(sensed.measured_power(), Power::ZERO);
         let mut sensed = frame();
         inj.perturb_sensing(20, 0, &mut sensed);
-        assert!(sensed.measured_power.as_watts() > 0.0);
+        assert!(sensed.measured_power().as_watts() > 0.0);
     }
 
     #[test]
@@ -515,8 +512,11 @@ mod tests {
             let mut fb = frame();
             a.perturb_sensing(epoch, 0, &mut fa);
             b.perturb_sensing(epoch, 0, &mut fb);
-            assert_eq!(fa.measured_power.as_watts(), fb.measured_power.as_watts());
-            let w = fa.measured_power.as_watts();
+            assert_eq!(
+                fa.measured_power().as_watts(),
+                fb.measured_power().as_watts()
+            );
+            let w = fa.measured_power().as_watts();
             assert!((1.0..=3.0).contains(&w), "noisy reading {w} out of range");
         }
         // A different seed perturbs differently somewhere.
@@ -526,7 +526,7 @@ mod tests {
             let mut fc = frame();
             a.perturb_sensing(epoch, 0, &mut fa);
             c.perturb_sensing(epoch, 0, &mut fc);
-            fa.measured_power != fc.measured_power
+            fa.measured_power() != fc.measured_power()
         });
         assert!(differs);
     }

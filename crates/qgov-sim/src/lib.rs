@@ -68,5 +68,5 @@ pub use opp::{Opp, OppTable};
 pub use platform::{FrameResult, Platform, PlatformConfig, WorkSlice};
 pub use pmu::Pmu;
 pub use power::{CmosPowerModel, PowerBreakdown, PowerModel};
-pub use sensor::{PowerSensor, SensorConfig};
+pub use sensor::{PowerSensor, SensorConfig, SensorReading};
 pub use thermal::{ThermalConfig, ThermalModel};

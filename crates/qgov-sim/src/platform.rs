@@ -2,8 +2,8 @@
 //! thermal, driven one decision epoch at a time.
 
 use crate::{
-    CmosPowerModel, DvfsConfig, OppTable, Pmu, PowerModel, PowerSensor, SensorConfig, SimError,
-    ThermalConfig, ThermalModel, VfController, VfDomain,
+    CmosPowerModel, DvfsConfig, OppTable, Pmu, PowerModel, PowerSensor, SensorConfig,
+    SensorReading, SimError, ThermalConfig, ThermalModel, VfController, VfDomain,
 };
 use qgov_units::{Cycles, Energy, Freq, Power, SimTime, Temp};
 
@@ -181,10 +181,9 @@ pub struct FrameResult {
     pub energy: Energy,
     /// Ground-truth average power over `wall_time`.
     pub avg_power: Power,
-    /// The on-board sensor's (quantised, noisy) power reading.
-    pub measured_power: Power,
-    /// Energy as the paper computes it: sensor power × wall time.
-    pub measured_energy: Energy,
+    /// The on-board sensor's reading of the frame, evaluated on demand
+    /// by [`measured_power`](FrameResult::measured_power).
+    pub sensor: SensorReading,
     /// Die temperature at frame end.
     pub temperature: Temp,
     /// Cluster OPP index the frame ran at.
@@ -207,8 +206,7 @@ impl FrameResult {
             per_core_cycles: Vec::new(),
             energy: Energy::ZERO,
             avg_power: Power::ZERO,
-            measured_power: Power::ZERO,
-            measured_energy: Energy::ZERO,
+            sensor: SensorReading::exact(Power::ZERO),
             temperature: Temp::default(),
             cluster_opp: 0,
         }
@@ -231,10 +229,21 @@ impl FrameResult {
             .extend_from_slice(&other.per_core_cycles);
         self.energy = other.energy;
         self.avg_power = other.avg_power;
-        self.measured_power = other.measured_power;
-        self.measured_energy = other.measured_energy;
+        self.sensor = other.sensor;
         self.temperature = other.temperature;
         self.cluster_opp = other.cluster_opp;
+    }
+
+    /// The on-board sensor's (quantised, noisy) power reading.
+    #[must_use]
+    pub fn measured_power(&self) -> Power {
+        self.sensor.power()
+    }
+
+    /// Energy as the paper computes it: sensor power × wall time.
+    #[must_use]
+    pub fn measured_energy(&self) -> Energy {
+        self.measured_power() * self.wall_time
     }
 
     /// `true` if the frame met its deadline.
@@ -543,8 +552,7 @@ impl Platform {
 
         let avg_power = Power::from_watts(energy.as_joules() / wall_time.as_secs_f64());
         self.sensor.integrate(avg_power, wall_time);
-        let measured_power = self.sensor.read_frame_average();
-        let measured_energy = measured_power * wall_time;
+        let sensor = self.sensor.read_frame();
 
         let temperature = self.thermal.step(avg_power, wall_time);
         self.now += wall_time;
@@ -557,8 +565,7 @@ impl Platform {
         out.overhead = overhead;
         out.energy = energy;
         out.avg_power = avg_power;
-        out.measured_power = measured_power;
-        out.measured_energy = measured_energy;
+        out.sensor = sensor;
         out.temperature = temperature;
         out.cluster_opp = cluster_opp_idx;
         Ok(())
@@ -716,7 +723,7 @@ mod tests {
         let work = vec![WorkSlice::cpu_only(Cycles::from_mcycles(15)); 4];
         let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
         assert!(
-            (r.measured_energy.as_joules() - r.energy.as_joules()).abs()
+            (r.measured_energy().as_joules() - r.energy.as_joules()).abs()
                 < 1e-9 * r.energy.as_joules().max(1.0)
         );
     }

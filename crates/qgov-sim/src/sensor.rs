@@ -52,6 +52,59 @@ impl Default for SensorConfig {
     }
 }
 
+/// One closed frame window's sensor reading, evaluated when it is read.
+///
+/// [`PowerSensor::read_frame`] records everything that determines the
+/// reading — the true window average, the sensor's noise and
+/// quantisation settings and the two uniforms its Box–Muller sample
+/// consumes — and [`power`](SensorReading::power) turns them into the
+/// quantised, noisy watts. Frames whose reading nobody looks at never
+/// pay for the `ln`/`sqrt`/`cos`/`round`, yet the seeded stream advances
+/// exactly as if every reading were evaluated, so later readings do not
+/// depend on which earlier ones were read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SensorReading {
+    true_avg: f64,
+    noise_fraction: f64,
+    quantum_mw: f64,
+    u1: f64,
+    u2: f64,
+}
+
+impl SensorReading {
+    /// A reading of exactly `power`: no noise, no quantisation (fault
+    /// overrides, test fixtures).
+    #[must_use]
+    pub fn exact(power: Power) -> Self {
+        SensorReading {
+            true_avg: power.as_watts(),
+            noise_fraction: 0.0,
+            quantum_mw: 0.0,
+            u1: 0.0,
+            u2: 0.0,
+        }
+    }
+
+    /// The sensor's reading of the window's average power, including
+    /// noise and quantisation.
+    #[must_use]
+    pub fn power(&self) -> Power {
+        let noisy = if self.noise_fraction > 0.0 {
+            let g = (-2.0 * self.u1.ln()).sqrt() * (std::f64::consts::TAU * self.u2).cos();
+            (self.true_avg * (1.0 + self.noise_fraction * g)).max(0.0)
+        } else {
+            self.true_avg
+        };
+        let quantised = if self.quantum_mw > 0.0 {
+            let q = self.quantum_mw / 1_000.0;
+            (noisy / q).round() * q
+        } else {
+            noisy
+        };
+        Power::from_watts(quantised)
+    }
+}
+
 /// Integrates true power over time and reports frame-averaged readings
 /// with the configured quantisation and noise.
 ///
@@ -64,8 +117,8 @@ impl Default for SensorConfig {
 /// let mut sensor = PowerSensor::new(SensorConfig::ideal());
 /// sensor.integrate(Power::from_watts(2.0), SimTime::from_ms(10));
 /// sensor.integrate(Power::from_watts(4.0), SimTime::from_ms(10));
-/// let reading = sensor.read_frame_average();
-/// assert!((reading.as_watts() - 3.0).abs() < 1e-9);
+/// let reading = sensor.read_frame();
+/// assert!((reading.power().as_watts() - 3.0).abs() < 1e-9);
 /// ```
 #[derive(Debug)]
 pub struct PowerSensor {
@@ -111,9 +164,9 @@ impl PowerSensor {
     }
 
     /// Closes the current frame window and returns the sensor's reading
-    /// of its average power, including quantisation and noise. Resets
-    /// the window.
-    pub fn read_frame_average(&mut self) -> Power {
+    /// of its average power (see [`SensorReading`]). Resets the window
+    /// and draws the reading's noise from the seeded stream now.
+    pub fn read_frame(&mut self) -> SensorReading {
         let true_avg = if self.frame_time.is_zero() {
             0.0
         } else {
@@ -121,19 +174,18 @@ impl PowerSensor {
         };
         self.frame_energy = Energy::ZERO;
         self.frame_time = SimTime::ZERO;
-        let noisy = if self.config.noise_fraction > 0.0 {
-            let g = gaussian(&mut self.rng);
-            (true_avg * (1.0 + self.config.noise_fraction * g)).max(0.0)
+        let (u1, u2) = if self.config.noise_fraction > 0.0 {
+            gaussian_uniforms(&mut self.rng)
         } else {
-            true_avg
+            (0.0, 0.0)
         };
-        let quantised = if self.config.quantum_mw > 0.0 {
-            let q = self.config.quantum_mw / 1_000.0;
-            (noisy / q).round() * q
-        } else {
-            noisy
-        };
-        Power::from_watts(quantised)
+        SensorReading {
+            true_avg,
+            noise_fraction: self.config.noise_fraction,
+            quantum_mw: self.config.quantum_mw,
+            u1,
+            u2,
+        }
     }
 
     /// Ground-truth energy integrated since construction (what a perfect
@@ -144,14 +196,14 @@ impl PowerSensor {
     }
 }
 
-/// A standard-normal sample via Box–Muller from the seeded stream.
-fn gaussian(rng: &mut StdRng) -> f64 {
+/// The two uniforms of a Box–Muller standard-normal sample, drawn from
+/// the seeded stream (`u1` is redrawn until its logarithm is finite).
+fn gaussian_uniforms(rng: &mut StdRng) -> (f64, f64) {
     use rand::Rng;
     loop {
         let u1: f64 = rng.gen::<f64>();
         if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.gen::<f64>();
-            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+            return (u1, rng.gen::<f64>());
         }
     }
 }
@@ -166,31 +218,31 @@ mod tests {
         s.integrate(Power::from_watts(1.0), SimTime::from_ms(30));
         s.integrate(Power::from_watts(3.0), SimTime::from_ms(10));
         // (1*30 + 3*10)/40 = 1.5 W
-        assert!((s.read_frame_average().as_watts() - 1.5).abs() < 1e-9);
+        assert!((s.read_frame().power().as_watts() - 1.5).abs() < 1e-9);
     }
 
     #[test]
     fn window_resets_between_frames() {
         let mut s = PowerSensor::new(SensorConfig::ideal());
         s.integrate(Power::from_watts(2.0), SimTime::from_ms(10));
-        let _ = s.read_frame_average();
+        let _ = s.read_frame();
         s.integrate(Power::from_watts(4.0), SimTime::from_ms(10));
-        assert!((s.read_frame_average().as_watts() - 4.0).abs() < 1e-9);
+        assert!((s.read_frame().power().as_watts() - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_window_reads_zero() {
         let mut s = PowerSensor::new(SensorConfig::ideal());
-        assert_eq!(s.read_frame_average(), Power::ZERO);
+        assert_eq!(s.read_frame().power(), Power::ZERO);
     }
 
     #[test]
     fn total_energy_is_ground_truth_across_frames() {
         let mut s = PowerSensor::new(SensorConfig::ina231(1));
         s.integrate(Power::from_watts(2.0), SimTime::from_secs(1));
-        let _ = s.read_frame_average();
+        let _ = s.read_frame();
         s.integrate(Power::from_watts(3.0), SimTime::from_secs(1));
-        let _ = s.read_frame_average();
+        let _ = s.read_frame();
         assert!((s.total_energy().as_joules() - 5.0).abs() < 1e-9);
     }
 
@@ -202,7 +254,7 @@ mod tests {
             seed: 0,
         });
         s.integrate(Power::from_watts(1.234), SimTime::from_ms(10));
-        assert!((s.read_frame_average().as_watts() - 1.2).abs() < 1e-9);
+        assert!((s.read_frame().power().as_watts() - 1.2).abs() < 1e-9);
     }
 
     #[test]
@@ -216,7 +268,7 @@ mod tests {
             let mut readings = Vec::new();
             for _ in 0..100 {
                 s.integrate(Power::from_watts(2.0), SimTime::from_ms(10));
-                readings.push(s.read_frame_average().as_watts());
+                readings.push(s.read_frame().power().as_watts());
             }
             readings
         };

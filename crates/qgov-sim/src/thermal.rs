@@ -60,11 +60,25 @@ impl Default for ThermalConfig {
 /// // Steady state: 25 + 5 W * 8 degC/W = 65 degC.
 /// assert!((t.temperature().as_celsius() - 65.0).abs() < 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ThermalModel {
     config: ThermalConfig,
     temperature: Temp,
     peak: Temp,
+    /// The `dt` of the last [`step`](ThermalModel::step) and its decay
+    /// factor `exp(−dt/τ)`: frames that meet their deadline all step by
+    /// the period, so the `exp` is recomputed only when `dt` changes.
+    decay_memo: (SimTime, f64),
+}
+
+/// Equal when the networks and their states are; the decay memo is a
+/// cache of the configuration and does not take part.
+impl PartialEq for ThermalModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.temperature == other.temperature
+            && self.peak == other.peak
+    }
 }
 
 impl ThermalModel {
@@ -87,6 +101,8 @@ impl ThermalModel {
             temperature: config.ambient,
             peak: config.ambient,
             config,
+            // exp(−0/τ) is exactly 1.
+            decay_memo: (SimTime::ZERO, 1.0),
         }
     }
 
@@ -113,7 +129,11 @@ impl ThermalModel {
     pub fn step(&mut self, power: Power, dt: SimTime) -> Temp {
         let target = self.steady_state(power).as_celsius();
         let t = self.temperature.as_celsius();
-        let decay = (-dt.as_secs_f64() / self.config.tau.as_secs_f64()).exp();
+        if dt != self.decay_memo.0 {
+            let decay = (-dt.as_secs_f64() / self.config.tau.as_secs_f64()).exp();
+            self.decay_memo = (dt, decay);
+        }
+        let decay = self.decay_memo.1;
         self.temperature = Temp::from_celsius(target + (t - target) * decay);
         self.peak = self.peak.max(self.temperature);
         self.temperature
@@ -190,6 +210,41 @@ mod tests {
         t.reset();
         assert_eq!(t.temperature().as_celsius(), 25.0);
         assert_eq!(t.peak().as_celsius(), 25.0);
+    }
+
+    mod decay_memo {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            // Steps drawn from a few dt values (so runs repeat and
+            // change, including dt = 0) and powers: the memoised model
+            // keeps the bits of `target + (t − target)·exp(−dt/τ)`
+            // evaluated afresh every step.
+            #[test]
+            fn memoised_decay_equals_fresh_exp(
+                steps in proptest::collection::vec((0usize..4, 0.0f64..10.0), 1..60),
+                tau_ms in 1u64..10_000,
+            ) {
+                let config = ThermalConfig {
+                    tau: SimTime::from_ms(tau_ms),
+                    ..ThermalConfig::odroid_xu3()
+                };
+                let dts = [0, 40_000_000, 40_000_001, 123_456_789].map(SimTime::from_ns);
+                let mut model = ThermalModel::new(config.clone());
+                let (mut t, mut peak) = (config.ambient.as_celsius(), config.ambient);
+                for &(i, watts) in &steps {
+                    let dt = dts[i];
+                    let target = config.ambient.as_celsius() + watts * config.r_th;
+                    let decay = (-dt.as_secs_f64() / config.tau.as_secs_f64()).exp();
+                    t = target + (t - target) * decay;
+                    peak = peak.max(Temp::from_celsius(t));
+                    let got = model.step(Power::from_watts(watts), dt);
+                    prop_assert_eq!(got.as_celsius().to_bits(), t.to_bits());
+                    prop_assert_eq!(model.peak().as_celsius().to_bits(), peak.as_celsius().to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 use proptest::prelude::*;
 use qgov_sim::{
     ClusterConfig, DvfsConfig, ManyCoreFrameResult, ManyCorePlatform, Platform, PlatformConfig,
-    SensorConfig, Topology, VfDomain, WorkSlice,
+    PowerSensor, SensorConfig, SensorReading, Topology, VfDomain, WorkSlice,
 };
-use qgov_units::{Cycles, Energy, SimTime};
+use qgov_units::{Cycles, Energy, Power, SimTime};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn platform() -> Platform {
     Platform::new(PlatformConfig {
@@ -17,8 +19,108 @@ fn platform() -> Platform {
     .unwrap()
 }
 
+/// The eager reading [`PowerSensor::read_frame`] replaced, kept as the
+/// reference: close the window, then draw the Box–Muller sample and
+/// quantise at once.
+struct EagerSensor {
+    config: SensorConfig,
+    rng: StdRng,
+    frame_energy: Energy,
+    frame_time: SimTime,
+}
+
+impl EagerSensor {
+    fn new(config: SensorConfig) -> Self {
+        EagerSensor {
+            rng: StdRng::seed_from_u64(config.seed),
+            config,
+            frame_energy: Energy::ZERO,
+            frame_time: SimTime::ZERO,
+        }
+    }
+
+    fn integrate(&mut self, power: Power, span: SimTime) {
+        self.frame_energy += power * span;
+        self.frame_time += span;
+    }
+
+    fn read_frame_average(&mut self) -> Power {
+        let true_avg = if self.frame_time.is_zero() {
+            0.0
+        } else {
+            self.frame_energy.as_joules() / self.frame_time.as_secs_f64()
+        };
+        self.frame_energy = Energy::ZERO;
+        self.frame_time = SimTime::ZERO;
+        let noisy = if self.config.noise_fraction > 0.0 {
+            let g = loop {
+                let u1: f64 = self.rng.gen::<f64>();
+                if u1 > f64::MIN_POSITIVE {
+                    let u2: f64 = self.rng.gen::<f64>();
+                    break (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                }
+            };
+            (true_avg * (1.0 + self.config.noise_fraction * g)).max(0.0)
+        } else {
+            true_avg
+        };
+        let quantised = if self.config.quantum_mw > 0.0 {
+            let q = self.config.quantum_mw / 1_000.0;
+            (noisy / q).round() * q
+        } else {
+            noisy
+        };
+        Power::from_watts(quantised)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A deferred reading evaluates to the eager reading bit for bit,
+    /// whenever it is evaluated: at once, twice, after later frames, or
+    /// never — skipping or repeating one reading leaves every later
+    /// reading unchanged. Noise fractions and quanta include zero, and
+    /// windows include empty ones.
+    #[test]
+    fn deferred_reading_equals_eager_reading(
+        seed in 0u64..u64::MAX,
+        noise in -0.5f64..0.99,
+        quantum in -100.0f64..200.0,
+        frames in proptest::collection::vec(
+            (proptest::collection::vec((0.0f64..20.0, 0u64..100_000), 0..4), 0u8..4),
+            1..40),
+    ) {
+        let config = SensorConfig {
+            quantum_mw: quantum.max(0.0),
+            noise_fraction: noise.max(0.0),
+            seed,
+        };
+        let mut deferred = PowerSensor::new(config.clone());
+        let mut eager = EagerSensor::new(config);
+        let mut late: Vec<(SensorReading, Power)> = Vec::new();
+        for (window, when) in &frames {
+            for &(watts, span_us) in window {
+                let (power, span) = (Power::from_watts(watts), SimTime::from_us(span_us));
+                deferred.integrate(power, span);
+                eager.integrate(power, span);
+            }
+            let reading = deferred.read_frame();
+            let expect = eager.read_frame_average();
+            match when {
+                0 => prop_assert_eq!(reading.power().as_watts().to_bits(), expect.as_watts().to_bits()),
+                1 => {
+                    prop_assert_eq!(reading.power().as_watts().to_bits(), expect.as_watts().to_bits());
+                    prop_assert_eq!(reading.power().as_watts().to_bits(), expect.as_watts().to_bits());
+                }
+                2 => late.push((reading, expect)),
+                _ => {} // never evaluated
+            }
+        }
+        for (reading, expect) in late {
+            prop_assert_eq!(reading.power().as_watts().to_bits(), expect.as_watts().to_bits());
+        }
+    }
 
     /// Higher operating points never make a frame slower.
     #[test]
@@ -105,7 +207,7 @@ proptest! {
                 p.set_cluster_opp(opp);
                 let r = p.run_frame(&work, SimTime::from_ms(40)).unwrap();
                 log.push((r.frame_time, r.energy.as_joules().to_bits(),
-                          r.measured_power.as_watts().to_bits()));
+                          r.measured_power().as_watts().to_bits()));
             }
             log
         };

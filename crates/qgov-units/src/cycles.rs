@@ -64,7 +64,8 @@ impl Cycles {
     /// # Panics
     ///
     /// Panics if `f` is the zero frequency while the cycle count is
-    /// non-zero (a halted clock never retires work).
+    /// non-zero (a halted clock never retires work), or if the time
+    /// exceeds `u64::MAX` nanoseconds (~584 years).
     #[must_use]
     pub fn time_at(self, f: Freq) -> SimTime {
         if self.0 == 0 {
@@ -72,18 +73,29 @@ impl Cycles {
         }
         assert!(!f.is_zero(), "non-zero work cannot execute at 0 Hz");
         // ns = cycles / (kHz * 1000) * 1e9 = cycles * 1e6 / kHz, rounded up.
-        let num = self.0 as u128 * 1_000_000;
-        let den = f.khz() as u128;
-        SimTime::from_ns(num.div_ceil(den) as u64)
+        // Every realistic count fits the u64 product; the u128 path
+        // serves the rest and gives the same quotient.
+        let ns = match self.0.checked_mul(1_000_000) {
+            Some(num) => num.div_ceil(f.khz()),
+            None => {
+                let ns = (self.0 as u128 * 1_000_000).div_ceil(f.khz() as u128);
+                u64::try_from(ns).expect("busy time exceeds u64::MAX ns")
+            }
+        };
+        SimTime::from_ns(ns)
     }
 
     /// Returns the number of cycles a clock at frequency `f` retires in
     /// time `t` (truncating).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count exceeds `u64::MAX` cycles.
     #[must_use]
     pub fn elapsed(f: Freq, t: SimTime) -> Cycles {
         // cycles = kHz * 1000 * ns / 1e9 = kHz * ns / 1e6
-        let num = f.khz() as u128 * t.as_ns() as u128;
-        Cycles((num / 1_000_000) as u64)
+        let cycles = f.khz() as u128 * t.as_ns() as u128 / 1_000_000;
+        Cycles(u64::try_from(cycles).expect("cycle count exceeds u64::MAX"))
     }
 
     /// Saturating subtraction; returns [`Cycles::ZERO`] instead of
@@ -210,6 +222,56 @@ mod tests {
     #[should_panic(expected = "0 Hz")]
     fn nonzero_work_at_zero_freq_panics() {
         let _ = Cycles::new(1).time_at(Freq::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u64::MAX ns")]
+    fn time_at_overflow_panics_instead_of_wrapping() {
+        // u64::MAX cycles at 200 MHz is ~2.9e12 s: no SimTime holds it.
+        let _ = Cycles::new(u64::MAX).time_at(Freq::from_mhz(200));
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle count exceeds u64::MAX")]
+    fn elapsed_overflow_panics_instead_of_wrapping() {
+        let _ = Cycles::elapsed(Freq::from_mhz(2_000), SimTime::from_ns(u64::MAX));
+    }
+
+    mod time_at_fast_path {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The u128 formula every `time_at` result must equal.
+        fn reference(cycles: u64, khz: u64) -> u128 {
+            (cycles as u128 * 1_000_000).div_ceil(khz as u128)
+        }
+
+        /// The largest count whose `× 10⁶` product still fits a u64.
+        const BOUNDARY: u64 = u64::MAX / 1_000_000;
+
+        proptest! {
+            // Counts on both sides of the u64 product boundary, at
+            // frequencies from 1 kHz up; only quotients that fit a u64
+            // are compared (the rest must panic, pinned above).
+            #[test]
+            fn time_at_equals_the_u128_formula(
+                offset in 0u64..1_000_000,
+                side in 0u8..2,
+                small in 1u64..u64::MAX,
+                khz in 1u64..10_000_000,
+            ) {
+                let near = if side == 1 { BOUNDARY + 1 + offset } else { BOUNDARY - offset };
+                for cycles in [near, small % (BOUNDARY + 1) + 1] {
+                    let expect = reference(cycles, khz);
+                    if let Ok(ns) = u64::try_from(expect) {
+                        prop_assert_eq!(
+                            Cycles::new(cycles).time_at(Freq::from_khz(khz)),
+                            SimTime::from_ns(ns)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
