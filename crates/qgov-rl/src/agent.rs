@@ -236,21 +236,15 @@ impl QLearningAgent {
     /// finite.
     pub fn begin_epoch(&mut self, state: usize, reward: f64, slack: f64) -> usize {
         assert!(reward.is_finite(), "reward must be finite, got {reward}");
-        // One scan of the coming state's row, before the update writes:
-        // its maximum is the Bellman future term, and its argmax is the
-        // greedy selection unless the update below lands in this very
-        // row (`state == prev_state`).
-        let (mut greedy, future) = self.q.row_best(state);
+        // The coming state's row maximum before the update writes is
+        // the Bellman future term.
+        let future = self.q.row_best(state).1;
 
         // (1) + (2): pay-off and Bellman update for the previous pair.
         // `alpha`/`discount` were validated at construction, so the
         // unchecked fast path applies.
         if let Some((prev_state, prev_action)) = self.last {
-            let greedy_before = if prev_state == state {
-                greedy
-            } else {
-                self.q.row_best(prev_state).0
-            };
+            let greedy_before = self.q.row_best(prev_state).0;
             let greedy_after = self.q.update_unchecked(
                 prev_state,
                 prev_action,
@@ -259,9 +253,6 @@ impl QLearningAgent {
                 self.alpha,
                 self.discount,
             );
-            if prev_state == state {
-                greedy = greedy_after;
-            }
             let changed = greedy_after != greedy_before;
             // A quiet greedy policy during the exploration phase is not
             // convergence — early on, updates have not yet differentiated
@@ -277,6 +268,7 @@ impl QLearningAgent {
         }
 
         // (3): action selection for the coming interval.
+        let greedy = self.q.row_best(state).0;
         let explore = crate::uniform_f64(&mut self.rng) < self.epsilon.value();
         let action = if explore {
             let ctx = ActionContext::new(self.q.row(state), self.actions.freqs_ghz(), slack);

@@ -2,12 +2,11 @@
 
 use crate::RlError;
 
-/// The fused greedy-scan fold behind [`QTable::row_best`] and
-/// [`QTable::policy_into`]: one pass over a row returning
-/// `(argmax, max)`. Folds from the first entry (correct for rows of any
-/// value range) and breaks ties towards the lowest action index — for a
-/// frequency-ordered action space, the lowest (most energy-frugal)
-/// frequency.
+/// The greedy-scan fold that defines each row's cached `(argmax, max)`
+/// (see [`QTable::row_best`]): one pass over a row. Folds from the
+/// first entry (correct for rows of any value range) and breaks ties
+/// towards the lowest action index — for a frequency-ordered action
+/// space, the lowest (most energy-frugal) frequency.
 ///
 /// # Panics
 ///
@@ -40,6 +39,11 @@ fn best_of_row(row: &[f64]) -> (usize, f64) {
 /// Q(sᵢ, aᵢ) ← (1 − α)·Q(sᵢ, aᵢ) + α·[Rᵢ + γ·max_a Q(sᵢ₊₁, a)]
 /// ```
 ///
+/// Each row's `(argmax, max)` is cached and kept current in O(1) by
+/// every write (a write that lowers a row's maximum rescans that one
+/// row), so the greedy choice and the `max_a` term are look-ups. The
+/// cache always equals a fresh lowest-index-tie-break scan of its row.
+///
 /// # Examples
 ///
 /// ```
@@ -58,6 +62,8 @@ pub struct QTable {
     values: Vec<f64>,
     visits: Vec<u64>,
     updates: u64,
+    /// Per row, what [`best_of_row`] returns for it.
+    best: Vec<(usize, f64)>,
 }
 
 impl QTable {
@@ -76,6 +82,7 @@ impl QTable {
             values: vec![0.0; states * actions],
             visits: vec![0; states * actions],
             updates: 0,
+            best: vec![(0, 0.0); states],
         })
     }
 
@@ -92,6 +99,7 @@ impl QTable {
         }
         let mut t = Self::new(states, actions)?;
         t.values.fill(init);
+        t.rebuild_best();
         Ok(t)
     }
 
@@ -122,6 +130,7 @@ impl QTable {
         for s in 0..states {
             t.values[s * actions..(s + 1) * actions].copy_from_slice(bias);
         }
+        t.rebuild_best();
         Ok(t)
     }
 
@@ -235,11 +244,11 @@ impl QTable {
             .count()
     }
 
-    /// The fused greedy-scan kernel: one pass over a state's row
-    /// returning both the argmax action and its value — the
+    /// A state's greedy action and its value — the
     /// `(greedy_action, max_value)` pair every decision epoch needs
-    /// (selection wants the argmax, the Bellman update the max).
-    /// Ties break towards the lowest action index, which for a
+    /// (selection wants the argmax, the Bellman update the max). A
+    /// look-up of the row cache, which equals a fresh scan of the row:
+    /// ties break towards the lowest action index, which for a
     /// frequency-ordered action space means the lowest (most
     /// energy-frugal) frequency.
     ///
@@ -251,14 +260,18 @@ impl QTable {
     #[inline]
     #[must_use]
     pub fn row_best(&self, state: usize) -> (usize, f64) {
-        let start = self.idx_fast(state, 0);
-        best_of_row(&self.values[start..start + self.actions])
+        debug_assert!(
+            state < self.states,
+            "state {state} out of range (states = {})",
+            self.states
+        );
+        self.best[state]
     }
 
     /// The greedy (highest-value) action for a state. Ties break towards
     /// the lowest action index, which for a frequency-ordered action space
-    /// means the lowest (most energy-frugal) frequency. A single row
-    /// scan via [`QTable::row_best`].
+    /// means the lowest (most energy-frugal) frequency. A look-up via
+    /// [`QTable::row_best`].
     ///
     /// # Panics
     ///
@@ -269,11 +282,10 @@ impl QTable {
     }
 
     /// The maximum Q-value over all actions of a state — the
-    /// `max_a Q(sᵢ₊₁, a)` term of Eq. 3. A single row scan via
-    /// [`QTable::row_best`] (whose fold starts from the first entry, so
-    /// the identity element is correct for rows of any value range —
-    /// including rows more negative than the old `f64::MIN` fold seed
-    /// could have handled).
+    /// `max_a Q(sᵢ₊₁, a)` term of Eq. 3. A look-up via
+    /// [`QTable::row_best`] (whose defining fold starts from the first
+    /// entry, so it is correct for rows of any value range — including
+    /// rows more negative than an `f64::MIN` fold seed could handle).
     ///
     /// # Panics
     ///
@@ -327,12 +339,16 @@ impl QTable {
     /// (e.g. [`AgentConfig::validate`](crate::AgentConfig::validate)).
     ///
     /// `future` is the `max_a Q(sᵢ₊₁, a)` term of Eq. 3, supplied by the
-    /// caller: an agent scans the next state's row once per epoch for
-    /// its greedy selection anyway, and that scan's maximum (taken
-    /// before this update writes) is exactly the future term
-    /// [`QTable::update`] computes. Returns the greedy action of
-    /// `state`'s row after the write. Numerically bit-identical to
+    /// caller (an agent reads it for the coming state before this
+    /// update writes). Returns the greedy action of `state`'s row
+    /// after the write. Numerically bit-identical to
     /// [`QTable::update`] given `future = row_best(next_state).1`.
+    ///
+    /// The row cache is maintained in O(1): a write to the argmax that
+    /// keeps it `>=` the old maximum keeps it as argmax; one that lowers
+    /// it rescans the row; a write to any other action makes it the
+    /// argmax if it beats the maximum, or ties it from a lower index
+    /// (a NaN, which only an overflowed table can produce, rescans).
     ///
     /// # Panics
     ///
@@ -359,10 +375,36 @@ impl QTable {
         );
         debug_assert!(reward.is_finite(), "reward must be finite, got {reward}");
         let i = self.idx_fast(state, action);
-        self.values[i] = (1.0 - alpha) * self.values[i] + alpha * (reward + discount * future);
+        let v = (1.0 - alpha) * self.values[i] + alpha * (reward + discount * future);
+        self.values[i] = v;
         self.visits[i] += 1;
         self.updates += 1;
-        self.row_best(state).0
+        let (arg, max) = self.best[state];
+        let takes_over = if action == arg {
+            v >= max
+        } else {
+            v > max || (v == max && action < arg)
+        };
+        if takes_over {
+            self.best[state] = (action, v);
+        } else if action == arg || v.is_nan() {
+            // The argmax fell, or a NaN landed (an overflowed table):
+            // only a scan knows the row's best now.
+            let start = state * self.actions;
+            self.best[state] = best_of_row(&self.values[start..start + self.actions]);
+        }
+        self.best[state].0
+    }
+
+    /// Recomputes every row's cached `(argmax, max)` from the values.
+    fn rebuild_best(&mut self) {
+        for (best, row) in self
+            .best
+            .iter_mut()
+            .zip(self.values.chunks_exact(self.actions))
+        {
+            *best = best_of_row(row);
+        }
     }
 
     /// Resets all values and visit counts to zero, forgetting everything
@@ -372,6 +414,7 @@ impl QTable {
         self.values.fill(0.0);
         self.visits.fill(0);
         self.updates = 0;
+        self.rebuild_best();
     }
 
     /// Returns the greedy action for every state, i.e. the current learnt
@@ -385,17 +428,10 @@ impl QTable {
 
     /// Writes the greedy action for every state into `out`
     /// (allocation-free when `out` already has capacity for
-    /// [`states`](QTable::states) entries): one fused [`row_best`]
-    /// scan per row over the flat value buffer instead of a
-    /// twice-indexed pass per state.
-    ///
-    /// [`row_best`]: QTable::row_best
+    /// [`states`](QTable::states) entries), read from the row cache.
     pub fn policy_into(&self, out: &mut Vec<usize>) {
         out.clear();
-        out.reserve(self.states);
-        for s in 0..self.states {
-            out.push(self.row_best(s).0);
-        }
+        out.extend(self.best.iter().map(|&(a, _)| a));
     }
 }
 
@@ -546,7 +582,10 @@ mod tests {
         assert_eq!(q.greedy_action(0), 0);
         let mut q = QTable::with_init(1, 3, f64::MIN).unwrap();
         assert_eq!(q.max_value(0), f64::MIN);
+        // A direct write bypasses the cache maintenance of the update
+        // path, so the cache is rebuilt by hand.
         q.values[1] = f64::MIN / 2.0;
+        q.rebuild_best();
         assert_eq!(q.max_value(0), f64::MIN / 2.0);
         assert_eq!(q.greedy_action(0), 1);
     }

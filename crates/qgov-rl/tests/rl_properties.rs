@@ -24,7 +24,84 @@ fn naive_two_pass(row: &[f64]) -> (usize, f64) {
     (best, max)
 }
 
+/// A fresh lowest-index-tie-break scan of one row: the `(argmax, max)`
+/// the row cache must hold.
+fn fresh_scan(row: &[f64]) -> (usize, f64) {
+    let mut best = (0, row[0]);
+    for (a, &v) in row.iter().enumerate().skip(1) {
+        if v > best.1 {
+            best = (a, v);
+        }
+    }
+    best
+}
+
+/// Maps a pick to a value that stresses the row cache — exact ties,
+/// signed zeros, values at and near `f64::MIN`, huge magnitudes — or,
+/// for larger picks, to `x` itself.
+fn edge_value(pick: u8, x: f64) -> f64 {
+    match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 1.0,
+        3 => -1.0,
+        4 => f64::MIN,
+        5 => f64::MIN / 2.0,
+        6 => 1e300,
+        7 => 0.5,
+        _ => x,
+    }
+}
+
 proptest! {
+    /// The cached `row_best` equals a fresh scan of every row after any
+    /// sequence of checked and unchecked Bellman updates and resets,
+    /// on zero, uniform (signed-zero, `f64::MIN`, ...) and
+    /// optimistic-bias tables. Rewards and hyper-parameters are drawn
+    /// so that writes often tie the row maximum exactly, swap `0.0`
+    /// for `-0.0`, lower the argmax, or overflow rows near `f64::MIN`.
+    #[test]
+    fn row_cache_equals_a_fresh_scan_after_any_write_sequence(
+        (kind, init_pick, init_x) in (0u8..3, 0u8..10, -10.0f64..10.0),
+        (states, actions) in (1usize..5, 1usize..7),
+        steps in proptest::collection::vec(
+            (0u8..20, 0usize..5, 0usize..7, (0u8..12, -5.0f64..5.0), 0usize..5, (0u8..4, 0u8..3)),
+            1..120),
+    ) {
+        let init = edge_value(init_pick, init_x);
+        let mut q = match kind {
+            0 => QTable::new(states, actions).unwrap(),
+            1 => QTable::with_init(states, actions, init).unwrap(),
+            _ => {
+                let bias: Vec<f64> = (0..actions).map(|a| init + a as f64 * 0.01).collect();
+                QTable::with_action_bias(states, actions, &bias).unwrap()
+            }
+        };
+        for (op, s, a, (r_pick, r_x), ns, (alpha_pick, discount_pick)) in steps {
+            let (s, a, ns) = (s % states, a % actions, ns % states);
+            let reward = edge_value(r_pick, r_x);
+            let alpha = [1.0, 0.5, 0.3, 0.0][usize::from(alpha_pick)];
+            let discount = [0.0, 0.5, 1.0][usize::from(discount_pick)];
+            match op {
+                0 => q.reset(),
+                1..=9 => q.update(s, a, reward, ns, alpha, discount),
+                _ => {
+                    let future = q.row_best(ns).1;
+                    let greedy = q.update_unchecked(s, a, reward, future, alpha, discount);
+                    prop_assert_eq!(greedy, fresh_scan(q.row(s)).0);
+                }
+            }
+            for state in 0..states {
+                let (action, value) = q.row_best(state);
+                let (ref_action, ref_value) = fresh_scan(q.row(state));
+                prop_assert_eq!(action, ref_action, "argmax of row {}", state);
+                prop_assert_eq!(value.to_bits(), ref_value.to_bits(), "max of row {}", state);
+            }
+        }
+        let policy: Vec<usize> = (0..states).map(|s| fresh_scan(q.row(s)).0).collect();
+        prop_assert_eq!(q.policy(), policy);
+    }
+
     /// The fused single-scan `row_best` kernel agrees with the naive
     /// two-pass reference on arbitrary finite rows — argmax and max
     /// bit-for-bit, ties still breaking towards the lowest action.

@@ -8,7 +8,7 @@
 //! (Eq. 5).
 
 use crate::{OppTable, SimError};
-use qgov_units::{SimTime, Volt};
+use qgov_units::SimTime;
 
 /// Whether one V-F setting drives the whole cluster or each core has its
 /// own domain.
@@ -66,6 +66,26 @@ impl Default for DvfsConfig {
     }
 }
 
+/// The latency of every V-F transition of `table`, row-major by `from`:
+/// free when the index does not change, else the fixed cost plus the
+/// slew of the voltage distance rounded half up to whole millivolts.
+/// The rounding is done in integer microvolts, which equals `f64::round`
+/// of the distance in millivolts for any distance below 2⁵³ µV.
+fn latency_table(config: &DvfsConfig, table: &OppTable) -> Vec<SimTime> {
+    let uv: Vec<u64> = table.iter().map(|opp| opp.volt.uv()).collect();
+    let mut latency = Vec::with_capacity(uv.len() * uv.len());
+    for (from, &a) in uv.iter().enumerate() {
+        for (to, &b) in uv.iter().enumerate() {
+            latency.push(if from == to {
+                SimTime::ZERO
+            } else {
+                config.base_latency + config.latency_per_mv * ((a.abs_diff(b) + 500) / 1_000)
+            });
+        }
+    }
+    latency
+}
+
 /// Tracks the current operating point(s) and accounts for transition
 /// latency.
 ///
@@ -89,6 +109,9 @@ pub struct VfController {
     /// Current OPP index per core (all identical under `PerCluster`).
     current: Vec<usize>,
     config: DvfsConfig,
+    /// Transition latency per `(from, to)` OPP pair, row-major by
+    /// `from`; zero on the diagonal.
+    latency: Vec<SimTime>,
     transitions: u64,
     total_latency: SimTime,
 }
@@ -112,11 +135,13 @@ impl VfController {
                 reason: "a platform needs at least one core".into(),
             });
         }
+        let latency = latency_table(&config, &table);
         Ok(VfController {
             table,
             domain,
             current: vec![0; cores],
             config,
+            latency,
             transitions: 0,
             total_latency: SimTime::ZERO,
         })
@@ -161,20 +186,7 @@ impl VfController {
     }
 
     fn transition_latency(&self, from: usize, to: usize) -> SimTime {
-        if from == to {
-            return SimTime::ZERO;
-        }
-        let dv: Volt = {
-            let a = self.table.get(from).expect("validated index").volt;
-            let b = self.table.get(to).expect("validated index").volt;
-            if a >= b {
-                a - b
-            } else {
-                b - a
-            }
-        };
-        let mv = dv.as_mv().round() as u64;
-        self.config.base_latency + self.config.latency_per_mv * mv
+        self.latency[from * self.table.len() + to]
     }
 
     /// Retargets the whole cluster to OPP `index`, returning the
@@ -241,6 +253,8 @@ impl VfController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Opp;
+    use qgov_units::{Freq, Volt};
 
     fn controller(domain: VfDomain) -> VfController {
         VfController::new(OppTable::odroid_xu3_a15(), domain, 4, DvfsConfig::typical()).unwrap()
@@ -321,6 +335,59 @@ mod tests {
             vf.core_opp(9),
             Err(SimError::CoreOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn latency_table_matches_the_per_transition_formula() {
+        // The formula each transition used to evaluate: fixed cost plus
+        // slew over the voltage distance rounded to whole millivolts,
+        // free when the index does not change.
+        let formula = |config: &DvfsConfig, table: &OppTable, from: usize, to: usize| {
+            if from == to {
+                return SimTime::ZERO;
+            }
+            let a = table.get(from).unwrap().volt;
+            let b = table.get(to).unwrap().volt;
+            let dv = if a >= b { a - b } else { b - a };
+            config.base_latency + config.latency_per_mv * dv.as_mv().round() as u64
+        };
+        // Besides the shipped tables: equal voltages at distinct
+        // indices, and distances just below, at and above half a
+        // millivolt.
+        let edges = OppTable::new(
+            [0, 0, 499, 500, 501, 1_500, 334_567, 462_500]
+                .iter()
+                .enumerate()
+                .map(|(i, &duv)| {
+                    Opp::new(
+                        Freq::from_mhz(200 + 100 * i as u64),
+                        Volt::from_uv(900_000 + duv),
+                    )
+                })
+                .collect(),
+        )
+        .unwrap();
+        for table in [OppTable::odroid_xu3_a15(), OppTable::odroid_xu3_a7(), edges] {
+            for config in [DvfsConfig::typical(), DvfsConfig::free()] {
+                let n = table.len();
+                for domain in [VfDomain::PerCluster, VfDomain::PerCore] {
+                    let mut vf =
+                        VfController::new(table.clone(), domain, 2, config.clone()).unwrap();
+                    for from in 0..n {
+                        for to in 0..n {
+                            vf.set_core_opp(1, from).unwrap();
+                            let latency = vf.set_core_opp(1, to).unwrap();
+                            assert_eq!(
+                                latency,
+                                formula(&config, &table, from, to),
+                                "{from} -> {to}"
+                            );
+                            assert_eq!(vf.transition_latency(from, to), latency);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

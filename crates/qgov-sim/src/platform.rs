@@ -1,9 +1,10 @@
 //! The frame-synchronous platform: cores + DVFS + power + sensors +
 //! thermal, driven one decision epoch at a time.
 
+use crate::power::OppPower;
 use crate::{
-    CmosPowerModel, DvfsConfig, OppTable, Pmu, PowerModel, PowerSensor, SensorConfig,
-    SensorReading, SimError, ThermalConfig, ThermalModel, VfController, VfDomain,
+    CmosPowerModel, DvfsConfig, OppTable, Pmu, PowerSensor, SensorConfig, SensorReading, SimError,
+    ThermalConfig, ThermalModel, VfController, VfDomain,
 };
 use qgov_units::{Cycles, Energy, Freq, Power, SimTime, Temp};
 
@@ -285,6 +286,8 @@ impl FrameResult {
 #[derive(Debug)]
 pub struct Platform {
     power_model: CmosPowerModel,
+    /// The temperature-independent power terms, per OPP index.
+    opp_power: Vec<OppPower>,
     vf: VfController,
     pmus: Vec<Pmu>,
     sensor: PowerSensor,
@@ -309,8 +312,14 @@ impl Platform {
             config.cores,
             config.dvfs.clone(),
         )?;
+        let opp_power = vf
+            .table()
+            .iter()
+            .map(|opp| config.power_model.opp_power(opp))
+            .collect();
         Ok(Platform {
             power_model: config.power_model,
+            opp_power,
             vf,
             pmus: (0..config.cores).map(|_| Pmu::new()).collect(),
             sensor: PowerSensor::new(config.sensor),
@@ -500,23 +509,28 @@ impl Platform {
         let overhead = self.pending_overhead;
         self.pending_overhead = SimTime::ZERO;
 
-        // Per-core values that depend only on the OPP index are computed
-        // once per run of cores sharing an index (once per frame on a
-        // shared rail) and reused; `usize::MAX` marks "nothing cached".
+        // A core whose OPP and slice equal the previous core's repeats
+        // its busy time; `usize::MAX` marks "no frequency looked up".
         let opps = self.vf.core_opps();
         let table = self.vf.table();
+        let repeats =
+            |core: usize| core > 0 && opps[core] == opps[core - 1] && work[core] == work[core - 1];
 
         // Execute to the barrier.
         out.per_core_busy.clear();
         out.per_core_cycles.clear();
         let mut compute_time = SimTime::ZERO;
         let (mut freq_idx, mut freq) = (usize::MAX, Freq::ZERO);
-        for (&opp_idx, slice) in opps.iter().zip(work) {
-            if opp_idx != freq_idx {
-                freq_idx = opp_idx;
-                freq = table.get(opp_idx).expect("opp index in range").freq;
-            }
-            let busy = slice.time_at(freq);
+        for (core, (&opp_idx, slice)) in opps.iter().zip(work).enumerate() {
+            let busy = if repeats(core) {
+                out.per_core_busy[core - 1]
+            } else {
+                if opp_idx != freq_idx {
+                    freq_idx = opp_idx;
+                    freq = table.get(opp_idx).expect("opp index in range").freq;
+                }
+                slice.time_at(freq)
+            };
             compute_time = compute_time.max(busy);
             out.per_core_busy.push(busy);
             out.per_core_cycles.push(slice.cpu_cycles);
@@ -524,31 +538,37 @@ impl Platform {
         let frame_time = compute_time + overhead;
         let wall_time = frame_time.max(period);
 
-        // Energy accounting at the temperature of frame start.
-        let temp = self.thermal.temperature();
+        // Energy accounting at the temperature of frame start: one
+        // leakage factor per frame, the OPP's totals once per run of
+        // cores sharing an index, and a repeated core's energy term
+        // reused (core 0 carries the overhead, so core 1 never
+        // repeats its term).
+        let scale = self.power_model.leakage_scale(self.thermal.temperature());
+        let cluster_opp_idx = opps[0];
+        let cluster_power = self.opp_power[cluster_opp_idx].at(scale);
+        let (mut power_idx, mut power) = (cluster_opp_idx, cluster_power);
         let mut energy = Energy::ZERO;
-        let (mut power_idx, mut p_busy, mut p_idle) = (usize::MAX, Power::ZERO, Power::ZERO);
+        let mut term = Energy::ZERO;
         for (core, (&opp_idx, &busy)) in opps.iter().zip(&out.per_core_busy).enumerate() {
-            if opp_idx != power_idx {
-                let opp = table.get(opp_idx).expect("opp index in range");
-                power_idx = opp_idx;
-                p_busy = self.power_model.core_power(opp, 1.0, temp).total();
-                p_idle = self.power_model.core_power(opp, 0.0, temp).total();
+            if core < 2 || !repeats(core) {
+                if opp_idx != power_idx {
+                    power_idx = opp_idx;
+                    power = self.opp_power[opp_idx].at(scale);
+                }
+                // The governor's serial overhead section runs on core 0.
+                let active = if core == 0 { busy + overhead } else { busy };
+                let active = active.min(wall_time);
+                let idle = wall_time - active;
+                term = power.busy * active + power.idle * idle;
             }
-            // The governor's serial overhead section runs on core 0.
-            let active = if core == 0 { busy + overhead } else { busy };
-            let active = active.min(wall_time);
-            let idle = wall_time - active;
-            energy += p_busy * active + p_idle * idle;
+            energy += term;
             self.pmus[core].record(
                 out.per_core_cycles[core],
                 busy,
                 wall_time.saturating_sub(busy),
             );
         }
-        let cluster_opp_idx = opps[0];
-        let cluster_opp = table.get(cluster_opp_idx).expect("cluster opp in range");
-        energy += self.power_model.uncore_power(cluster_opp, temp).total() * wall_time;
+        energy += cluster_power.uncore * wall_time;
 
         let avg_power = Power::from_watts(energy.as_joules() / wall_time.as_secs_f64());
         self.sensor.integrate(avg_power, wall_time);
@@ -575,6 +595,7 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PowerModel;
 
     fn quiet_platform() -> Platform {
         let config = PlatformConfig {

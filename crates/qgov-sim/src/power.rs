@@ -141,10 +141,76 @@ impl CmosPowerModel {
         self.idle_activity
     }
 
-    fn leakage(&self, volt_v: f64, temp: Temp) -> Power {
-        let base = self.k1_leak * volt_v + self.k3_leak * volt_v * volt_v * volt_v;
-        let t_scale = 1.0 + self.kt_leak * (temp.as_celsius() - 25.0).max(0.0);
-        Power::from_watts(base * t_scale)
+    /// Switching power `C·V²·f·activity`, multiplied in that order.
+    fn switching(ceff: f64, opp: Opp, activity: f64) -> Power {
+        Power::from_watts(ceff * opp.volt.squared() * opp.freq.hz() as f64 * activity)
+    }
+
+    /// One core's switching power at `activity`, floored at the idle
+    /// residual.
+    fn core_dynamic(&self, opp: Opp, activity: f64) -> Power {
+        Self::switching(self.ceff_core, opp, activity.max(self.idle_activity))
+    }
+
+    /// The temperature-independent leakage factor `k₁V + k₃V³`.
+    fn leakage_base(&self, volt_v: f64) -> f64 {
+        self.k1_leak * volt_v + self.k3_leak * volt_v * volt_v * volt_v
+    }
+
+    /// The temperature factor of leakage, `1 + k_T·max(T − 25, 0)`.
+    pub(crate) fn leakage_scale(&self, temp: Temp) -> f64 {
+        1.0 + self.kt_leak * (temp.as_celsius() - 25.0).max(0.0)
+    }
+
+    fn leakage(&self, opp: Opp, temp: Temp) -> Power {
+        Power::from_watts(self.leakage_base(opp.volt.as_volts()) * self.leakage_scale(temp))
+    }
+
+    /// The terms of `opp`'s power that do not depend on temperature,
+    /// for a platform to compute once per operating point.
+    pub(crate) fn opp_power(&self, opp: Opp) -> OppPower {
+        OppPower {
+            busy: self.core_dynamic(opp, 1.0),
+            idle: self.core_dynamic(opp, 0.0),
+            uncore: Self::switching(self.ceff_uncore, opp, 1.0),
+            leak_base: self.leakage_base(opp.volt.as_volts()),
+        }
+    }
+}
+
+/// One operating point's temperature-independent power terms under a
+/// [`CmosPowerModel`]. [`OppPower::at`] completes them with the
+/// leakage of one die temperature, bit-identical to
+/// [`PowerModel::core_power`] at activity 1 and 0 and to
+/// [`PowerModel::uncore_power`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct OppPower {
+    busy: Power,
+    idle: Power,
+    uncore: Power,
+    leak_base: f64,
+}
+
+/// Total busy-core, idle-core and uncore power of one operating point
+/// at one die temperature.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct OppPowerAt {
+    pub(crate) busy: Power,
+    pub(crate) idle: Power,
+    pub(crate) uncore: Power,
+}
+
+impl OppPower {
+    /// The totals at leakage factor `scale`
+    /// ([`CmosPowerModel::leakage_scale`]): one leakage value serves
+    /// all three.
+    pub(crate) fn at(&self, scale: f64) -> OppPowerAt {
+        let leak = Power::from_watts(self.leak_base * scale);
+        OppPowerAt {
+            busy: self.busy + leak,
+            idle: self.idle + leak,
+            uncore: self.uncore + leak * 0.5,
+        }
     }
 }
 
@@ -154,21 +220,16 @@ impl PowerModel for CmosPowerModel {
             (0.0..=1.0).contains(&activity),
             "activity must lie in [0, 1], got {activity}"
         );
-        let act = activity.max(self.idle_activity);
-        let dynamic =
-            Power::from_watts(self.ceff_core * opp.volt.squared() * opp.freq.hz() as f64 * act);
         PowerBreakdown {
-            dynamic,
-            statik: self.leakage(opp.volt.as_volts(), temp),
+            dynamic: self.core_dynamic(opp, activity),
+            statik: self.leakage(opp, temp),
         }
     }
 
     fn uncore_power(&self, opp: Opp, temp: Temp) -> PowerBreakdown {
-        let dynamic =
-            Power::from_watts(self.ceff_uncore * opp.volt.squared() * opp.freq.hz() as f64);
         PowerBreakdown {
-            dynamic,
-            statik: self.leakage(opp.volt.as_volts(), temp) * 0.5,
+            dynamic: Self::switching(self.ceff_uncore, opp, 1.0),
+            statik: self.leakage(opp, temp) * 0.5,
         }
     }
 }

@@ -3,10 +3,11 @@
 
 use proptest::prelude::*;
 use qgov_sim::{
-    ClusterConfig, DvfsConfig, ManyCoreFrameResult, ManyCorePlatform, Platform, PlatformConfig,
-    PowerSensor, SensorConfig, SensorReading, Topology, VfDomain, WorkSlice,
+    ClusterConfig, DvfsConfig, FrameResult, ManyCoreFrameResult, ManyCorePlatform, Platform,
+    PlatformConfig, PowerModel, PowerSensor, SensorConfig, SensorReading, ThermalConfig,
+    ThermalModel, Topology, VfController, VfDomain, WorkSlice,
 };
-use qgov_units::{Cycles, Energy, Power, SimTime};
+use qgov_units::{Cycles, Energy, Power, SimTime, Temp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,8 +75,182 @@ impl EagerSensor {
     }
 }
 
+/// The frame kernel transcribed from its model, as the reference for
+/// [`Platform::run_frame_into`]: every core's busy time from its own
+/// slice and frequency, and its power from its own
+/// [`PowerModel::core_power`] calls, with the uncore from
+/// [`PowerModel::uncore_power`]; no value is reused between cores or
+/// frames.
+struct ReferenceKernel {
+    config: PlatformConfig,
+    vf: VfController,
+    sensor: PowerSensor,
+    thermal: ThermalModel,
+    pending: SimTime,
+    /// Per core: cycles, busy time and idle time recorded so far.
+    pmu: Vec<(Cycles, SimTime, SimTime)>,
+    total_energy: Energy,
+}
+
+impl ReferenceKernel {
+    fn new(config: PlatformConfig) -> Self {
+        ReferenceKernel {
+            vf: VfController::new(
+                config.opp_table.clone(),
+                config.vf_domain,
+                config.cores,
+                config.dvfs.clone(),
+            )
+            .unwrap(),
+            sensor: PowerSensor::new(config.sensor.clone()),
+            thermal: ThermalModel::new(config.thermal.clone()),
+            pending: SimTime::ZERO,
+            pmu: vec![(Cycles::ZERO, SimTime::ZERO, SimTime::ZERO); config.cores],
+            total_energy: Energy::ZERO,
+            config,
+        }
+    }
+
+    fn set_core_opp(&mut self, core: usize, index: usize) {
+        self.pending += self.vf.set_core_opp(core, index).unwrap();
+    }
+
+    fn frame(&mut self, work: &[WorkSlice], period: SimTime) -> FrameResult {
+        let table = &self.config.opp_table;
+        let model = &self.config.power_model;
+        let overhead = std::mem::replace(&mut self.pending, SimTime::ZERO);
+        let opp_of = |core: usize| table.get(self.vf.core_opp(core).unwrap()).unwrap();
+        let busy: Vec<SimTime> = work
+            .iter()
+            .enumerate()
+            .map(|(core, slice)| slice.cpu_cycles.time_at(opp_of(core).freq) + slice.mem_time)
+            .collect();
+        let frame_time = busy.iter().copied().fold(SimTime::ZERO, SimTime::max) + overhead;
+        let wall_time = frame_time.max(period);
+        let temp = self.thermal.temperature();
+        let mut energy = Energy::ZERO;
+        for (core, &b) in busy.iter().enumerate() {
+            let opp = opp_of(core);
+            let active = if core == 0 { b + overhead } else { b }.min(wall_time);
+            let idle = wall_time - active;
+            energy += model.core_power(opp, 1.0, temp).total() * active
+                + model.core_power(opp, 0.0, temp).total() * idle;
+            let pmu = &mut self.pmu[core];
+            pmu.0 += work[core].cpu_cycles;
+            pmu.1 += b;
+            pmu.2 += wall_time.saturating_sub(b);
+        }
+        let cluster_opp = self.vf.cluster_opp();
+        energy += model
+            .uncore_power(table.get(cluster_opp).unwrap(), temp)
+            .total()
+            * wall_time;
+        let avg_power = Power::from_watts(energy.as_joules() / wall_time.as_secs_f64());
+        self.sensor.integrate(avg_power, wall_time);
+        self.total_energy += energy;
+        FrameResult {
+            frame_time,
+            wall_time,
+            period,
+            overhead,
+            per_core_busy: busy,
+            per_core_cycles: work.iter().map(|s| s.cpu_cycles).collect(),
+            energy,
+            avg_power,
+            sensor: self.sensor.read_frame(),
+            temperature: self.thermal.step(avg_power, wall_time),
+            cluster_opp,
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Platform::run_frame_into` equals the reference kernel bit for
+    /// bit — frame and wall time, overhead, busy times, cycles, energy,
+    /// average power, the sensor reading and temperature of every
+    /// frame, then the PMU counters, total energy and transition
+    /// accounting — on A15 and A7 quads of 1–5 cores, per-cluster and
+    /// per-core domains, mixed OPPs, idle cores, runs of equal slices
+    /// beside unequal ones, non-zero governor overhead on top of
+    /// transition costs, over-running frames, and dies held below or
+    /// above the 25 °C leakage knee by the ambient temperature.
+    #[test]
+    fn frame_kernel_equals_the_per_core_reference(
+        (big, per_core, cores) in (0u8..2, 0u8..2, 1usize..6),
+        (ambient, typical_dvfs) in (0usize..5, 0u8..2),
+        pool in proptest::collection::vec((0u64..60, 0u64..5_000), 3),
+        frames in proptest::collection::vec(
+            (proptest::collection::vec((0usize..19, 0usize..4), 5), 0u64..400, 1u64..60),
+            1..25),
+    ) {
+        let base = if big == 1 {
+            PlatformConfig::odroid_xu3_a15()
+        } else {
+            PlatformConfig::odroid_xu3_little()
+        };
+        let config = PlatformConfig {
+            cores,
+            vf_domain: if per_core == 1 { VfDomain::PerCore } else { VfDomain::PerCluster },
+            dvfs: if typical_dvfs == 1 { DvfsConfig::typical() } else { DvfsConfig::free() },
+            thermal: ThermalConfig {
+                ambient: Temp::from_celsius([0.0, 10.0, 24.0, 35.0, 60.0][ambient]),
+                ..ThermalConfig::odroid_xu3()
+            },
+            ..base
+        };
+        let opps = config.opp_table.len();
+        let mut platform = Platform::new(config.clone()).unwrap();
+        let mut reference = ReferenceKernel::new(config);
+        let mut out = FrameResult::empty();
+        for (per_core_picks, overhead_us, period_ms) in &frames {
+            let mut work = Vec::with_capacity(cores);
+            for (core, &(opp, slice)) in per_core_picks.iter().take(cores).enumerate() {
+                platform.try_set_core_opp(core, opp % opps).unwrap();
+                reference.set_core_opp(core, opp % opps);
+                work.push(match pool.get(slice) {
+                    Some(&(mcycles, mem_us)) => {
+                        WorkSlice::new(Cycles::from_mcycles(mcycles), SimTime::from_us(mem_us))
+                    }
+                    None => WorkSlice::IDLE,
+                });
+            }
+            if *overhead_us < 200 {
+                platform.add_overhead(SimTime::from_us(*overhead_us));
+                reference.pending += SimTime::from_us(*overhead_us);
+            }
+            let period = SimTime::from_ms(*period_ms);
+            platform.run_frame_into(&work, period, &mut out).unwrap();
+            let expect = reference.frame(&work, period);
+            prop_assert_eq!(out.frame_time, expect.frame_time);
+            prop_assert_eq!(out.wall_time, expect.wall_time);
+            prop_assert_eq!(out.overhead, expect.overhead);
+            prop_assert_eq!(&out.per_core_busy, &expect.per_core_busy);
+            prop_assert_eq!(&out.per_core_cycles, &expect.per_core_cycles);
+            prop_assert_eq!(out.energy.as_joules().to_bits(), expect.energy.as_joules().to_bits());
+            prop_assert_eq!(out.avg_power.as_watts().to_bits(), expect.avg_power.as_watts().to_bits());
+            prop_assert_eq!(
+                out.measured_power().as_watts().to_bits(),
+                expect.measured_power().as_watts().to_bits()
+            );
+            prop_assert_eq!(
+                out.temperature.as_celsius().to_bits(),
+                expect.temperature.as_celsius().to_bits()
+            );
+            prop_assert_eq!(out.cluster_opp, expect.cluster_opp);
+        }
+        for (core, &(cycles, busy, idle)) in reference.pmu.iter().enumerate() {
+            let pmu = platform.pmu(core);
+            prop_assert_eq!((pmu.cycles(), pmu.busy_time(), pmu.idle_time()), (cycles, busy, idle));
+        }
+        prop_assert_eq!(
+            platform.total_energy().as_joules().to_bits(),
+            reference.total_energy.as_joules().to_bits()
+        );
+        prop_assert_eq!(platform.vf().transitions(), reference.vf.transitions());
+        prop_assert_eq!(platform.vf().total_latency(), reference.vf.total_latency());
+    }
 
     /// A deferred reading evaluates to the eager reading bit for bit,
     /// whenever it is evaluated: at once, twice, after later frames, or

@@ -140,34 +140,64 @@ impl Cycles {
 
 impl Add for Cycles {
     type Output = Cycles;
+    /// # Panics
+    ///
+    /// Panics with "Cycles addition overflowed" if the sum exceeds
+    /// `u64::MAX`, in every build profile.
     fn add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 + rhs.0)
+        Cycles(
+            self.0
+                .checked_add(rhs.0)
+                .expect("Cycles addition overflowed"),
+        )
     }
 }
 
 impl AddAssign for Cycles {
+    /// # Panics
+    ///
+    /// Panics like [`Add`].
     fn add_assign(&mut self, rhs: Cycles) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
 impl Sub for Cycles {
     type Output = Cycles;
+    /// # Panics
+    ///
+    /// Panics with "Cycles subtraction underflowed" if `rhs > self`, in
+    /// every build profile (`saturating_sub` clamps at zero instead).
     fn sub(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 - rhs.0)
+        Cycles(
+            self.0
+                .checked_sub(rhs.0)
+                .expect("Cycles subtraction underflowed"),
+        )
     }
 }
 
 impl SubAssign for Cycles {
+    /// # Panics
+    ///
+    /// Panics like [`Sub`].
     fn sub_assign(&mut self, rhs: Cycles) {
-        self.0 -= rhs.0;
+        *self = *self - rhs;
     }
 }
 
 impl Mul<u64> for Cycles {
     type Output = Cycles;
+    /// # Panics
+    ///
+    /// Panics with "Cycles multiplication overflowed" if the product
+    /// exceeds `u64::MAX`, in every build profile.
     fn mul(self, rhs: u64) -> Cycles {
-        Cycles(self.0 * rhs)
+        Cycles(
+            self.0
+                .checked_mul(rhs)
+                .expect("Cycles multiplication overflowed"),
+        )
     }
 }
 
@@ -197,6 +227,46 @@ impl fmt::Display for Cycles {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The release profile has no overflow checks: without the checked
+    // operators these wrapped silently there.
+    #[test]
+    #[should_panic(expected = "Cycles addition overflowed")]
+    fn add_overflow_panics_instead_of_wrapping() {
+        let _ = Cycles::new(u64::MAX) + Cycles::new(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "Cycles addition overflowed")]
+    fn add_assign_overflow_panics_instead_of_wrapping() {
+        let mut t = Cycles::new(u64::MAX);
+        t += Cycles::new(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "Cycles subtraction underflowed")]
+    fn sub_underflow_panics_instead_of_wrapping() {
+        let _ = Cycles::new(1) - Cycles::new(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "Cycles subtraction underflowed")]
+    fn sub_assign_underflow_panics_instead_of_wrapping() {
+        let mut t = Cycles::new(1);
+        t -= Cycles::new(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "Cycles multiplication overflowed")]
+    fn mul_overflow_panics_instead_of_wrapping() {
+        let _ = Cycles::new(u64::MAX / 2 + 1) * 2;
+    }
+
+    #[test]
+    #[should_panic(expected = "Cycles addition overflowed")]
+    fn sum_overflow_panics_instead_of_wrapping() {
+        let _: Cycles = [Cycles::new(u64::MAX), Cycles::new(1)].into_iter().sum();
+    }
 
     #[test]
     fn time_at_exact_division() {

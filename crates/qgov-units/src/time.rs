@@ -170,34 +170,64 @@ impl SimTime {
 
 impl Add for SimTime {
     type Output = SimTime;
+    /// # Panics
+    ///
+    /// Panics with "SimTime addition overflowed" if the sum exceeds
+    /// `u64::MAX`, in every build profile.
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(
+            self.0
+                .checked_add(rhs.0)
+                .expect("SimTime addition overflowed"),
+        )
     }
 }
 
 impl AddAssign for SimTime {
+    /// # Panics
+    ///
+    /// Panics like [`Add`].
     fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
 impl Sub for SimTime {
     type Output = SimTime;
+    /// # Panics
+    ///
+    /// Panics with "SimTime subtraction underflowed" if `rhs > self`, in
+    /// every build profile (`saturating_sub` clamps at zero instead).
     fn sub(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 - rhs.0)
+        SimTime(
+            self.0
+                .checked_sub(rhs.0)
+                .expect("SimTime subtraction underflowed"),
+        )
     }
 }
 
 impl SubAssign for SimTime {
+    /// # Panics
+    ///
+    /// Panics like [`Sub`].
     fn sub_assign(&mut self, rhs: SimTime) {
-        self.0 -= rhs.0;
+        *self = *self - rhs;
     }
 }
 
 impl Mul<u64> for SimTime {
     type Output = SimTime;
+    /// # Panics
+    ///
+    /// Panics with "SimTime multiplication overflowed" if the product
+    /// exceeds `u64::MAX`, in every build profile.
     fn mul(self, rhs: u64) -> SimTime {
-        SimTime(self.0 * rhs)
+        SimTime(
+            self.0
+                .checked_mul(rhs)
+                .expect("SimTime multiplication overflowed"),
+        )
     }
 }
 
@@ -231,6 +261,46 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The release profile has no overflow checks: without the checked
+    // operators these wrapped silently there.
+    #[test]
+    #[should_panic(expected = "SimTime addition overflowed")]
+    fn add_overflow_panics_instead_of_wrapping() {
+        let _ = SimTime::MAX + SimTime::from_ns(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime addition overflowed")]
+    fn add_assign_overflow_panics_instead_of_wrapping() {
+        let mut t = SimTime::MAX;
+        t += SimTime::from_ns(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime subtraction underflowed")]
+    fn sub_underflow_panics_instead_of_wrapping() {
+        let _ = SimTime::from_ns(1) - SimTime::from_ns(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime subtraction underflowed")]
+    fn sub_assign_underflow_panics_instead_of_wrapping() {
+        let mut t = SimTime::from_ns(1);
+        t -= SimTime::from_ns(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime multiplication overflowed")]
+    fn mul_overflow_panics_instead_of_wrapping() {
+        let _ = SimTime::from_ns(u64::MAX / 2 + 1) * 2;
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime addition overflowed")]
+    fn sum_overflow_panics_instead_of_wrapping() {
+        let _: SimTime = [SimTime::MAX, SimTime::from_ns(1)].into_iter().sum();
+    }
 
     #[test]
     fn constructors_agree() {

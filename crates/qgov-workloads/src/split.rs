@@ -113,7 +113,9 @@ pub fn split_demand_into(
         let cycles = if cluster == last_active {
             total - assigned
         } else {
-            let exact = (total as f64 * (share / share_sum)).floor();
+            // `as u64` truncates, which is the floor for the
+            // non-negative product.
+            let exact = total as f64 * (share / share_sum);
             (exact as u64).min(total - assigned)
         };
         assigned += cycles;
